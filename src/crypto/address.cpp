@@ -1,5 +1,7 @@
 #include "crypto/address.hpp"
 
+#include <unordered_map>
+
 #include "crypto/sha256.hpp"
 #include "serde/writer.hpp"
 
@@ -27,10 +29,17 @@ Address derive_address(BytesView key_material) {
 }
 
 Address address_for_node(NodeId id) {
-  serde::Writer w;
-  w.string("gpbft-node-identity");
-  w.u64(id.value);
-  return derive_address(BytesView(w.buffer().data(), w.buffer().size()));
+  // A pure function of the id, recomputed for every transaction built and
+  // every fee credit; memoized per thread so no lock is needed.
+  thread_local std::unordered_map<std::uint64_t, Address> memo;
+  const auto [it, inserted] = memo.try_emplace(id.value);
+  if (inserted) {
+    serde::Writer w;
+    w.string("gpbft-node-identity");
+    w.u64(id.value);
+    it->second = derive_address(BytesView(w.buffer().data(), w.buffer().size()));
+  }
+  return it->second;
 }
 
 }  // namespace gpbft::crypto

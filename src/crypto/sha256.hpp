@@ -1,8 +1,11 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
 // Used for transaction/block hashing, Merkle trees, chain addresses and as
-// the compression function inside HMAC. Verified against the NIST example
-// vectors in tests/crypto/sha256_test.cpp.
+// the compression function inside HMAC. The compress step runs on the Intel
+// SHA extensions (SHA-NI) when the CPU has them, chosen once from CPUID, and
+// on portable scalar rounds otherwise; both produce the same digests.
+// Verified against the NIST example vectors, and kernel against kernel, in
+// tests/crypto_test.cpp.
 #pragma once
 
 #include <array>
@@ -40,8 +43,6 @@ class Sha256 {
   [[nodiscard]] Hash256 finalize();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_{0};
@@ -54,6 +55,19 @@ class Sha256 {
 
 /// sha256(sha256(x)) — used for chain addresses.
 [[nodiscard]] Hash256 sha256d(BytesView data);
+
+// Internal: the two compress kernels, exposed so tests can check them
+// against each other. Each folds `blocks` consecutive 64-byte blocks at
+// `data` into `state`.
+namespace detail {
+void compress_scalar(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                     std::size_t blocks);
+/// Only valid when sha_ni_supported() is true.
+void compress_sha_ni(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                     std::size_t blocks);
+/// True when the CPU has the SHA extensions plus SSSE3 and SSE4.1.
+[[nodiscard]] bool sha_ni_supported();
+}  // namespace detail
 
 }  // namespace gpbft::crypto
 

@@ -106,11 +106,19 @@ crypto::Hash256 Block::hash() const {
   return crypto::sha256(BytesView(encoded.data(), encoded.size()));
 }
 
+namespace {
+std::vector<crypto::Hash256> digests_of(const std::vector<Transaction>& transactions) {
+  std::vector<crypto::Hash256> digests;
+  digests.reserve(transactions.size());
+  for (const Transaction& tx : transactions) digests.push_back(tx.digest());
+  return digests;
+}
+}  // namespace
+
+std::vector<crypto::Hash256> Block::tx_digests() const { return digests_of(transactions); }
+
 crypto::Hash256 Block::compute_merkle_root() const {
-  std::vector<crypto::Hash256> leaves;
-  leaves.reserve(transactions.size());
-  for (const Transaction& tx : transactions) leaves.push_back(tx.digest());
-  return crypto::MerkleTree::compute_root(leaves);
+  return crypto::MerkleTree::compute_root(tx_digests());
 }
 
 Amount Block::total_fees() const {
@@ -121,6 +129,13 @@ Amount Block::total_fees() const {
 
 Block build_block(const BlockHeader& prev, std::vector<Transaction> transactions, EraId era,
                   ViewId view, SeqNum seq, TimePoint timestamp, NodeId producer) {
+  const std::vector<crypto::Hash256> digests = digests_of(transactions);
+  return build_block(prev, std::move(transactions), digests, era, view, seq, timestamp, producer);
+}
+
+Block build_block(const BlockHeader& prev, std::vector<Transaction> transactions,
+                  const std::vector<crypto::Hash256>& tx_digests, EraId era, ViewId view,
+                  SeqNum seq, TimePoint timestamp, NodeId producer) {
   Block block;
   block.transactions = std::move(transactions);
   block.header.height = prev.height + 1;
@@ -130,7 +145,7 @@ Block build_block(const BlockHeader& prev, std::vector<Transaction> transactions
   prev_block.header = prev;
   block.header.prev_hash = prev_block.hash();
 
-  block.header.merkle_root = block.compute_merkle_root();
+  block.header.merkle_root = crypto::MerkleTree::compute_root(tx_digests);
   block.header.era = era;
   block.header.view = view;
   block.header.seq = seq;

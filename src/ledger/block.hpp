@@ -40,6 +40,9 @@ struct Block {
   /// Hash of the header (the merkle_root already commits to the body).
   [[nodiscard]] crypto::Hash256 hash() const;
 
+  /// The transactions' digests, in block order (the Merkle leaves).
+  [[nodiscard]] std::vector<crypto::Hash256> tx_digests() const;
+
   /// Recomputes the Merkle root from the transactions.
   [[nodiscard]] crypto::Hash256 compute_merkle_root() const;
 
@@ -54,5 +57,11 @@ struct Block {
 [[nodiscard]] Block build_block(const BlockHeader& prev, std::vector<Transaction> transactions,
                                 EraId era, ViewId view, SeqNum seq, TimePoint timestamp,
                                 NodeId producer);
+
+/// As above, for a caller that already holds the transactions' digests (in
+/// order), so the Merkle root is built without hashing them again.
+[[nodiscard]] Block build_block(const BlockHeader& prev, std::vector<Transaction> transactions,
+                                const std::vector<crypto::Hash256>& tx_digests, EraId era,
+                                ViewId view, SeqNum seq, TimePoint timestamp, NodeId producer);
 
 }  // namespace gpbft::ledger

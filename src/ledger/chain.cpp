@@ -10,7 +10,7 @@ Chain::Chain(Block genesis) {
   blocks_.push_back(std::move(genesis));
 }
 
-Result<void> Chain::validate_next(const Block& block) const {
+Result<void> Chain::append(Block block, const std::vector<crypto::Hash256>& tx_digests) {
   const Block& tip_block = blocks_.back();
   if (block.header.height != tip_block.header.height + 1) {
     return make_error("chain: height " + std::to_string(block.header.height) +
@@ -20,17 +20,14 @@ Result<void> Chain::validate_next(const Block& block) const {
     return make_error("chain: previous-hash link broken at height " +
                       std::to_string(block.header.height));
   }
-  if (block.header.merkle_root != block.compute_merkle_root()) {
+  if (tx_digests.size() != block.transactions.size() ||
+      block.header.merkle_root != crypto::MerkleTree::compute_root(tx_digests)) {
     return make_error("chain: merkle root does not commit to the body");
   }
-  return {};
-}
-
-Result<void> Chain::append(Block block) {
-  if (auto valid = validate_next(block); !valid) return make_error(valid.error());
   const Height h = block.header.height;
-  for (const Transaction& tx : block.transactions) {
-    tx_index_[tx.digest()] = h;
+  for (std::size_t i = 0; i < tx_digests.size(); ++i) {
+    tx_index_[tx_digests[i]] = h;
+    const Transaction& tx = block.transactions[i];
     if (tx.kind == TxKind::Config) latest_era_ = tx.era_config;
   }
   blocks_.push_back(std::move(block));

@@ -1,7 +1,7 @@
 // Chain store with validation and fork detection.
 //
 // Each replica keeps its own Chain. append() enforces linkage (height,
-// previous-hash, Merkle root); observe_header() additionally watches for a
+// previous-hash, Merkle root over the caller's transaction digests); observe_header() additionally watches for a
 // *different* block at an already-committed height — the fork evidence the
 // incentive mechanism uses to expel a misbehaving producer (§III-B3/5).
 #pragma once
@@ -28,12 +28,14 @@ class Chain {
   /// Starts from a genesis block (height 0).
   explicit Chain(Block genesis);
 
-  /// Validates and appends. Errors on wrong height, broken prev-hash link,
-  /// or a Merkle root that does not match the body.
-  [[nodiscard]] Result<void> append(Block block);
-
-  /// Validation without mutation (what append checks).
-  [[nodiscard]] Result<void> validate_next(const Block& block) const;
+  /// Validates and appends. `tx_digests` are the digests of
+  /// `block.transactions`, in order, as the caller computed them from this
+  /// body (a caller without them passes block.tx_digests()); they are
+  /// checked against the header's Merkle root and then index the chain, so
+  /// the body is not hashed again. Errors on wrong height, broken prev-hash
+  /// link, a digest count that differs from the body's, or a Merkle root
+  /// that does not commit to the digests.
+  [[nodiscard]] Result<void> append(Block block, const std::vector<crypto::Hash256>& tx_digests);
 
   /// Checks a header observed from a peer; returns fork evidence when it
   /// conflicts with a block this chain already committed at that height.
@@ -44,8 +46,7 @@ class Chain {
   [[nodiscard]] const Block& at(Height h) const { return blocks_.at(h); }
   [[nodiscard]] std::size_t size() const { return blocks_.size(); }
 
-  /// Looks a transaction up by digest (linear in chain length per block
-  /// index bucket; fine at simulation scale).
+  /// Looks a transaction up by digest (one hash-map lookup).
   [[nodiscard]] std::optional<Height> find_transaction(const crypto::Hash256& digest) const;
 
   /// Latest era configuration recorded on chain (from config transactions).

@@ -1,6 +1,7 @@
 // Mempool: pending transactions awaiting inclusion.
 //
-// FIFO with digest-based dedup. The primary drains a bounded batch per
+// FIFO with digest-based dedup; each entry keeps the digest it was added
+// under, so popping and removal never re-hash a transaction. The primary drains a bounded batch per
 // consensus instance; transactions already committed are filtered on pop so
 // retransmissions (the client sends to multiple endorsers, §III-B1) do not
 // double-commit.
@@ -19,8 +20,10 @@ class Mempool {
  public:
   explicit Mempool(std::size_t capacity = 100'000);
 
-  /// Adds a transaction; returns false for duplicates or when full.
-  bool add(Transaction tx);
+  /// Adds a transaction under `digest`, which must be tx.digest() (the
+  /// caller has always computed it already); returns false for duplicates
+  /// or when full.
+  bool add(const crypto::Hash256& digest, Transaction tx);
 
   [[nodiscard]] bool contains(const crypto::Hash256& digest) const;
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
@@ -39,8 +42,13 @@ class Mempool {
   void clear();
 
  private:
+  struct Entry {
+    crypto::Hash256 digest;
+    Transaction tx;
+  };
+
   std::size_t capacity_;
-  std::deque<Transaction> queue_;
+  std::deque<Entry> queue_;
   std::unordered_set<crypto::Hash256> digests_;
 };
 

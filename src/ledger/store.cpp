@@ -69,7 +69,8 @@ Result<Chain> deserialize_chain(BytesView image) {
     auto block =
         Block::decode(BytesView(block_bytes.value().data(), block_bytes.value().size()));
     if (!block) return make_error(block.error());
-    if (auto appended = chain.append(std::move(block.value())); !appended) {
+    const std::vector<crypto::Hash256> digests = block.value().tx_digests();
+    if (auto appended = chain.append(std::move(block.value()), digests); !appended) {
       return make_error("chain file: block " + std::to_string(i) +
                         " failed validation: " + appended.error());
     }

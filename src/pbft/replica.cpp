@@ -252,7 +252,7 @@ void Replica::accept_request(ledger::Transaction tx) {
     send_to(tx.sender, msg_type::kReply, BytesView(body.data(), body.size()));
     return;
   }
-  if (!mempool_.add(std::move(tx))) return;  // duplicate or full
+  if (!mempool_.add(digest, std::move(tx))) return;  // duplicate or full
   pending_since_.emplace(digest, now());
   maybe_propose();
 }
@@ -281,15 +281,16 @@ Result<void> Replica::adopt_chain_suffix(const std::vector<ledger::Block>& block
   bool adopted_any = false;
   for (const ledger::Block& block : blocks) {
     if (block.header.height <= chain_.height()) continue;  // already have it
-    if (auto appended = chain_.append(block); !appended) {
+    const std::vector<crypto::Hash256> tx_digests = block.tx_digests();
+    if (auto appended = chain_.append(block, tx_digests); !appended) {
       if (adopted_any) persist_now();  // keep the partial progress durable
       return appended;
     }
     state_.apply_block(block, committee_);
-    for (const ledger::Transaction& tx : block.transactions) {
-      pending_since_.erase(tx.digest());
-      mempool_.remove(tx.digest());
-      client_table_.note_executed(tx, block.header.height);
+    for (std::size_t i = 0; i < tx_digests.size(); ++i) {
+      pending_since_.erase(tx_digests[i]);
+      mempool_.remove(tx_digests[i]);
+      client_table_.note_executed(block.transactions[i], tx_digests[i], block.header.height);
     }
     // Retire the instance slot this block occupied, if any.
     const auto it = log_.find(block.header.height);
@@ -518,8 +519,11 @@ bool Replica::propose_batch(std::vector<ledger::Transaction> batch) {
   Instance& existing = log_[seq];
   if (existing.preprepared && !existing.executed) return false;
 
-  ledger::Block block = ledger::build_block(chain_.tip().header, std::move(batch), current_era(),
-                                            view_, seq, now(), id_);
+  std::vector<crypto::Hash256> tx_digests;
+  tx_digests.reserve(batch.size());
+  for (const ledger::Transaction& tx : batch) tx_digests.push_back(tx.digest());
+  ledger::Block block = ledger::build_block(chain_.tip().header, std::move(batch), tx_digests,
+                                            current_era(), view_, seq, now(), id_);
   if (fault_mode_ == FaultMode::CorruptProposals) {
     block.header.merkle_root.bytes[0] ^= 0xff;  // body no longer committed to
   }
@@ -533,6 +537,7 @@ bool Replica::propose_batch(std::vector<ledger::Transaction> batch) {
   instance.view = view_;
   instance.digest = msg.digest;
   instance.block = msg.block;
+  instance.tx_digests = std::move(tx_digests);
   instance.preprepared = true;
   instance.preprepared_at = now();
   if (config_.two_phase) instance.prepare_votes[msg.digest].insert(id_);  // speaker's vote
@@ -583,7 +588,8 @@ void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
   if (from != primary_of(msg.view)) return;  // only the primary may propose
   if (!seq_in_window(msg.seq)) return;
   if (msg.digest != msg.block.hash()) return;
-  if (msg.block.header.merkle_root != msg.block.compute_merkle_root()) return;
+  std::vector<crypto::Hash256> tx_digests = msg.block.tx_digests();
+  if (msg.block.header.merkle_root != crypto::MerkleTree::compute_root(tx_digests)) return;
   // Backup-side twin of the select_batch filter: refuse proposals carrying
   // a configuration transaction for anything but the next era, so a stale
   // (or Byzantine) primary cannot commit a contradictory roster for an era
@@ -603,6 +609,7 @@ void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
   instance.view = msg.view;
   instance.digest = msg.digest;
   instance.block = msg.block;
+  instance.tx_digests = std::move(tx_digests);
   instance.preprepared = true;
   instance.preprepared_at = now();
   if (config_.two_phase) instance.prepare_votes[msg.digest].insert(from);  // speaker's vote
@@ -610,9 +617,7 @@ void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
 
   // Track request arrival for timeout purposes (backup may not have seen
   // the client request directly).
-  for (const ledger::Transaction& tx : msg.block.transactions) {
-    pending_since_.emplace(tx.digest(), now());
-  }
+  for (const crypto::Hash256& digest : instance.tx_digests) pending_since_.emplace(digest, now());
 
   send_prepare(msg.seq, instance);
   try_prepare(msg.seq);
@@ -750,10 +755,12 @@ void Replica::try_execute() {
     if (!instance.block) break;
 
     ledger::Block block = *instance.block;
-    if (auto appended = chain_.append(block); !appended) {
+    if (auto appended = chain_.append(block, instance.tx_digests); !appended) {
       log_error(id_.str() + ": committed block failed validation: " + appended.error());
       break;
     }
+    // Taken out of the log: an executed instance no longer needs them.
+    const std::vector<crypto::Hash256> tx_digests = std::move(instance.tx_digests);
     state_.apply_block(block, committee_);
     instance.executed = true;
     ++executed_blocks_;
@@ -785,11 +792,12 @@ void Replica::try_execute() {
       }
     }
 
-    for (const ledger::Transaction& tx : block.transactions) {
-      const crypto::Hash256 digest = tx.digest();
+    for (std::size_t i = 0; i < tx_digests.size(); ++i) {
+      const ledger::Transaction& tx = block.transactions[i];
+      const crypto::Hash256& digest = tx_digests[i];
       pending_since_.erase(digest);
       mempool_.remove(digest);
-      client_table_.note_executed(tx, block.header.height);
+      client_table_.note_executed(tx, digest, block.header.height);
 
       Reply reply;
       reply.view = view_;
@@ -983,6 +991,14 @@ void Replica::on_new_view(NodeId from, const NewViewMsg& msg) {
   enter_new_view(msg.new_view, msg.preprepares);
 }
 
+void Replica::requeue_transactions(const Instance& instance) {
+  if (!instance.block) return;
+  for (std::size_t i = 0; i < instance.tx_digests.size(); ++i) {
+    const crypto::Hash256& digest = instance.tx_digests[i];
+    if (!chain_.find_transaction(digest)) mempool_.add(digest, instance.block->transactions[i]);
+  }
+}
+
 void Replica::enter_new_view(ViewId view, const std::vector<PrePrepare>& reproposals) {
   const ViewId previous = view_;
   view_ = view;
@@ -1002,11 +1018,7 @@ void Replica::enter_new_view(ViewId view, const std::vector<PrePrepare>& repropo
     if (instance.committed || instance.executed) continue;
     // Requeue the transactions so they are not lost if the new primary
     // proposes something else for this slot (dedup prevents double-commit).
-    if (instance.block) {
-      for (const ledger::Transaction& tx : instance.block->transactions) {
-        if (!chain_.find_transaction(tx.digest())) mempool_.add(tx);
-      }
-    }
+    requeue_transactions(instance);
     instance.preprepared = false;
     instance.prepared = false;
     instance.prepare_sent = false;
@@ -1014,6 +1026,7 @@ void Replica::enter_new_view(ViewId view, const std::vector<PrePrepare>& repropo
     instance.prepare_votes.clear();
     instance.commit_votes.clear();
     instance.block.reset();
+    instance.tx_digests.clear();
     instance.digest = crypto::Hash256{};
     instance.preprepared_at = TimePoint{};
     instance.prepared_at = TimePoint{};
@@ -1106,11 +1119,7 @@ void Replica::reconfigure_committee(std::vector<NodeId> committee) {
   for (auto it = log_.begin(); it != log_.end();) {
     Instance& instance = it->second;
     if (!instance.executed) {
-      if (instance.block) {
-        for (const ledger::Transaction& tx : instance.block->transactions) {
-          if (!chain_.find_transaction(tx.digest())) mempool_.add(tx);
-        }
-      }
+      requeue_transactions(instance);
       it = log_.erase(it);
     } else {
       ++it;

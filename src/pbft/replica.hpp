@@ -184,6 +184,10 @@ class Replica : public net::INetNode {
     ViewId view{0};
     crypto::Hash256 digest;
     std::optional<ledger::Block> block;
+    // Digests of block->transactions, computed once when the block entered
+    // the log and carried to execution; set and cleared with `block`, and
+    // released once the instance executes.
+    std::vector<crypto::Hash256> tx_digests;
     bool preprepared{false};
     bool prepared{false};
     bool committed{false};
@@ -231,6 +235,10 @@ class Replica : public net::INetNode {
   void send_prepare(SeqNum seq, const Instance& instance);
   void send_commit(SeqNum seq, const Instance& instance);
   void maybe_checkpoint();
+
+  /// Returns an abandoned instance's not-yet-committed transactions to the
+  /// mempool.
+  void requeue_transactions(const Instance& instance);
 
   void initiate_view_change();
   void enter_new_view(ViewId view, const std::vector<PrePrepare>& reproposals);

@@ -63,9 +63,150 @@ TEST(Sha256, BoundarySizesConsistent) {
   }
 }
 
+TEST(Sha256, OneShotPaddingAtBoundaryLengths) {
+  // 55 bytes is the longest message whose padding fits one block; 56 and 63
+  // spill the length into a second block; 64/119/120 repeat the pattern one
+  // block later. Expected digests are independent (Python hashlib) answers
+  // for the bytes (7i + 3) mod 256.
+  const std::array<std::pair<std::size_t, const char*>, 6> cases = {{
+      {55, "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b"},
+      {56, "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27"},
+      {63, "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055"},
+      {64, "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241"},
+      {119, "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e"},
+      {120, "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5"},
+  }};
+  for (const auto& [len, expected] : cases) {
+    Bytes message(len);
+    for (std::size_t i = 0; i < len; ++i) message[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    EXPECT_EQ(sha256(BytesView(message.data(), message.size())).hex(), expected)
+        << "length " << len;
+    Sha256 split;  // buffered tail of every possible length at finalize
+    for (std::uint8_t byte : message) split.update(BytesView(&byte, 1));
+    EXPECT_EQ(split.finalize().hex(), expected) << "length " << len << ", byte-wise";
+  }
+}
+
 TEST(Sha256, Sha256dDiffersFromSingle) {
   const Bytes data = {1, 2, 3};
   EXPECT_NE(sha256d(data), sha256(BytesView(data.data(), data.size())));
+}
+
+// --- SHA-256 compress kernels ----------------------------------------------------
+// Both kernels are called directly through crypto::detail, so each one is
+// checked whichever of them Sha256 dispatches to on this CPU. The padding
+// here is built the long way (copy, append, compress all blocks at once),
+// independently of Sha256::finalize.
+
+using Kernel = void (*)(std::array<std::uint32_t, 8>&, const std::uint8_t*, std::size_t);
+
+constexpr std::array<std::uint32_t, 8> kIv = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+Hash256 digest_with(Kernel kernel, BytesView message) {
+  Bytes padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  std::array<std::uint32_t, 8> state = kIv;
+  kernel(state, padded.data(), padded.size() / 64);
+  Hash256 out;
+  for (std::size_t i = 0; i < 32; ++i) {
+    out.bytes[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+Hash256 digest_with(Kernel kernel, std::string_view message) {
+  return digest_with(kernel,
+                     BytesView(reinterpret_cast<const std::uint8_t*>(message.data()), message.size()));
+}
+
+Bytes random_bytes(Rng& rng, std::size_t len) {
+  Bytes out(len);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+struct KernelCase {
+  const char* name;
+  Kernel kernel;
+  bool hardware;
+};
+
+void PrintTo(const KernelCase& c, std::ostream* os) { *os << c.name; }
+
+class Sha256Kernel : public ::testing::TestWithParam<KernelCase> {
+ protected:
+  void SetUp() override {
+    if (GetParam().hardware && !detail::sha_ni_supported()) {
+      GTEST_SKIP() << "this CPU has no SHA-NI (CPUID leaf 7 EBX bit 29, SSSE3, SSE4.1); "
+                      "the hardware kernel is not exercised on this host";
+    }
+  }
+};
+
+TEST_P(Sha256Kernel, FipsVectors) {
+  const Kernel kernel = GetParam().kernel;
+  EXPECT_EQ(digest_with(kernel, "").hex(),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(digest_with(kernel, "abc").hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(digest_with(kernel, "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").hex(),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(digest_with(kernel,
+                        "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+                        "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
+                .hex(),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(digest_with(kernel, std::string(1'000'000, 'a')).hex(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256Kernel, MatchesSha256AcrossRandomSplits) {
+  // Lengths 0..4096 with up to four update() calls at random split points:
+  // Sha256 (whichever kernel it dispatches to, plus its one-shot padding)
+  // must agree with this kernel fed the whole padded message in one call.
+  Rng rng(0x5eed'5a256);
+  const Kernel kernel = GetParam().kernel;
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    const Bytes message = random_bytes(rng, len);
+    Sha256 ctx;
+    std::size_t offset = 0;
+    for (std::uint64_t cuts = rng.uniform(0, 3); cuts > 0; --cuts) {
+      const std::size_t step = static_cast<std::size_t>(rng.uniform(0, len - offset));
+      ctx.update(BytesView(message.data() + offset, step));
+      offset += step;
+    }
+    ctx.update(BytesView(message.data() + offset, len - offset));
+    ASSERT_EQ(ctx.finalize(), digest_with(kernel, BytesView(message.data(), len)))
+        << "length " << len;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha256Kernel,
+                         ::testing::Values(KernelCase{"scalar", detail::compress_scalar, false},
+                                           KernelCase{"sha_ni", detail::compress_sha_ni, true}),
+                         [](const auto& info) { return std::string(info.param.name); });
+
+TEST(Sha256KernelCrossCheck, ScalarAndShaNiAgreeFromRandomStates) {
+  if (!detail::sha_ni_supported()) {
+    GTEST_SKIP() << "this CPU has no SHA-NI; nothing to cross-check the scalar kernel against";
+  }
+  Rng rng(0xc0ffee);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::array<std::uint32_t, 8> scalar;
+    for (std::uint32_t& word : scalar) word = static_cast<std::uint32_t>(rng.next());
+    std::array<std::uint32_t, 8> hardware = scalar;
+    const std::size_t blocks = static_cast<std::size_t>(rng.uniform(1, 8));
+    const Bytes data = random_bytes(rng, blocks * 64);
+    detail::compress_scalar(scalar, data.data(), blocks);
+    detail::compress_sha_ni(hardware, data.data(), blocks);
+    ASSERT_EQ(scalar, hardware) << "trial " << trial << ", " << blocks << " blocks";
+  }
 }
 
 TEST(Hash256, HexAndShortHex) {

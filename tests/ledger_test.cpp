@@ -24,6 +24,8 @@ Transaction sample_tx(std::uint64_t sender = 1, RequestId request = 1) {
                         report_at(22.39, 114.10, 5));
 }
 
+bool add(Mempool& pool, const Transaction& tx) { return pool.add(tx.digest(), tx); }
+
 // --- transactions -----------------------------------------------------------------
 
 TEST(Transaction, EncodeDecodeRoundtrip) {
@@ -176,7 +178,7 @@ TEST(Chain, AppendsValidBlocks) {
   Chain chain(make_genesis_block(small_genesis()));
   const Block next = build_block(chain.tip().header, {sample_tx()}, 0, 0, 1, TimePoint{1},
                                  NodeId{1});
-  ASSERT_TRUE(chain.append(next).ok());
+  ASSERT_TRUE(chain.append(next, next.tx_digests()).ok());
   EXPECT_EQ(chain.height(), 1u);
   EXPECT_EQ(chain.at(1), next);
 }
@@ -185,28 +187,60 @@ TEST(Chain, RejectsWrongHeight) {
   Chain chain(make_genesis_block(small_genesis()));
   Block bad = build_block(chain.tip().header, {sample_tx()}, 0, 0, 1, TimePoint{1}, NodeId{1});
   bad.header.height = 5;
-  EXPECT_FALSE(chain.append(bad).ok());
+  EXPECT_FALSE(chain.append(bad, bad.tx_digests()).ok());
 }
 
 TEST(Chain, RejectsBrokenLink) {
   Chain chain(make_genesis_block(small_genesis()));
   Block bad = build_block(chain.tip().header, {sample_tx()}, 0, 0, 1, TimePoint{1}, NodeId{1});
   bad.header.prev_hash.bytes[0] ^= 1;
-  EXPECT_FALSE(chain.append(bad).ok());
+  EXPECT_FALSE(chain.append(bad, bad.tx_digests()).ok());
 }
 
 TEST(Chain, RejectsBadMerkleRoot) {
   Chain chain(make_genesis_block(small_genesis()));
   Block bad = build_block(chain.tip().header, {sample_tx()}, 0, 0, 1, TimePoint{1}, NodeId{1});
   bad.transactions.push_back(sample_tx(2, 2));  // body no longer matches root
-  EXPECT_FALSE(chain.append(bad).ok());
+  EXPECT_FALSE(chain.append(bad, bad.tx_digests()).ok());
+}
+
+TEST(Chain, RejectsTransactionMutatedAfterBuild) {
+  // The header still links and hashes the same; only the body changed.
+  Chain chain(make_genesis_block(small_genesis()));
+  Block bad = build_block(chain.tip().header, {sample_tx(1, 1), sample_tx(2, 1)}, 0, 0, 1,
+                          TimePoint{1}, NodeId{1});
+  bad.transactions[1].fee += 1;
+  EXPECT_FALSE(chain.append(bad, bad.tx_digests()).ok());
+  EXPECT_EQ(chain.height(), 0u);
+}
+
+TEST(Chain, RejectsDigestsThatDoNotCommitToTheRoot) {
+  Chain chain(make_genesis_block(small_genesis()));
+  const Block block = build_block(chain.tip().header, {sample_tx(1, 1), sample_tx(2, 1)}, 0, 0,
+                                  1, TimePoint{1}, NodeId{1});
+  const std::vector<crypto::Hash256> digests = block.tx_digests();
+
+  std::vector<crypto::Hash256> short_list = {digests[0]};
+  EXPECT_FALSE(chain.append(block, short_list).ok());
+  std::vector<crypto::Hash256> swapped = {digests[1], digests[0]};
+  EXPECT_FALSE(chain.append(block, swapped).ok());
+  std::vector<crypto::Hash256> foreign = {digests[0], sample_tx(3, 3).digest()};
+  EXPECT_FALSE(chain.append(block, foreign).ok());
+  Block grown = block;  // body extended after its digests were taken
+  grown.transactions.push_back(sample_tx(4, 4));
+  EXPECT_FALSE(chain.append(grown, digests).ok());
+  EXPECT_EQ(chain.height(), 0u);
+  EXPECT_FALSE(chain.find_transaction(digests[0]).has_value());
+
+  ASSERT_TRUE(chain.append(block, digests).ok());
+  EXPECT_EQ(chain.find_transaction(digests[1]), std::optional<Height>(1));
 }
 
 TEST(Chain, FindsTransactionsByDigest) {
   Chain chain(make_genesis_block(small_genesis()));
   const Transaction tx = sample_tx();
   const Block next = build_block(chain.tip().header, {tx}, 0, 0, 1, TimePoint{1}, NodeId{1});
-  ASSERT_TRUE(chain.append(next).ok());
+  ASSERT_TRUE(chain.append(next, next.tx_digests()).ok());
   const auto found = chain.find_transaction(tx.digest());
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, 1u);
@@ -223,7 +257,7 @@ TEST(Chain, TracksEraConfig) {
       make_config_tx(NodeId{1}, 1, next_era, report_at(22.39, 114.1, 60));
   const Block next =
       build_block(chain.tip().header, {config_tx}, 1, 0, 1, TimePoint{1}, NodeId{1});
-  ASSERT_TRUE(chain.append(next).ok());
+  ASSERT_TRUE(chain.append(next, next.tx_digests()).ok());
   EXPECT_EQ(chain.current_era_config().era, 1u);
   EXPECT_EQ(chain.current_era_config().endorsers.size(), 5u);
 }
@@ -232,7 +266,7 @@ TEST(Chain, ObserveHeaderDetectsFork) {
   Chain chain(make_genesis_block(small_genesis()));
   const Block committed =
       build_block(chain.tip().header, {sample_tx()}, 0, 0, 1, TimePoint{1}, NodeId{1});
-  ASSERT_TRUE(chain.append(committed).ok());
+  ASSERT_TRUE(chain.append(committed, committed.tx_digests()).ok());
 
   // Same header: no fork.
   EXPECT_FALSE(chain.observe_header(committed.header).has_value());
@@ -316,8 +350,8 @@ TEST(State, TracksLatestPayloadAndCounters) {
 TEST(Mempool, AddAndPopFifo) {
   Mempool pool;
   const Transaction a = sample_tx(1, 1), b = sample_tx(1, 2);
-  EXPECT_TRUE(pool.add(a));
-  EXPECT_TRUE(pool.add(b));
+  EXPECT_TRUE(add(pool, a));
+  EXPECT_TRUE(add(pool, b));
   EXPECT_EQ(pool.size(), 2u);
 
   const auto batch = pool.pop_batch(10, nullptr);
@@ -329,23 +363,23 @@ TEST(Mempool, AddAndPopFifo) {
 
 TEST(Mempool, RejectsDuplicates) {
   Mempool pool;
-  EXPECT_TRUE(pool.add(sample_tx()));
-  EXPECT_FALSE(pool.add(sample_tx()));
+  EXPECT_TRUE(add(pool, sample_tx()));
+  EXPECT_FALSE(add(pool, sample_tx()));
   EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(Mempool, RespectsCapacity) {
   Mempool pool(2);
-  EXPECT_TRUE(pool.add(sample_tx(1, 1)));
-  EXPECT_TRUE(pool.add(sample_tx(1, 2)));
-  EXPECT_FALSE(pool.add(sample_tx(1, 3)));
+  EXPECT_TRUE(add(pool, sample_tx(1, 1)));
+  EXPECT_TRUE(add(pool, sample_tx(1, 2)));
+  EXPECT_FALSE(add(pool, sample_tx(1, 3)));
 }
 
 TEST(Mempool, PopBatchSkipsCommitted) {
   Mempool pool;
   const Transaction a = sample_tx(1, 1), b = sample_tx(1, 2);
-  pool.add(a);
-  pool.add(b);
+  add(pool, a);
+  add(pool, b);
   const crypto::Hash256 committed = a.digest();
   const auto batch =
       pool.pop_batch(10, [&committed](const crypto::Hash256& d) { return d == committed; });
@@ -355,7 +389,7 @@ TEST(Mempool, PopBatchSkipsCommitted) {
 
 TEST(Mempool, PopBatchBounded) {
   Mempool pool;
-  for (RequestId i = 1; i <= 10; ++i) pool.add(sample_tx(1, i));
+  for (RequestId i = 1; i <= 10; ++i) add(pool, sample_tx(1, i));
   EXPECT_EQ(pool.pop_batch(3, nullptr).size(), 3u);
   EXPECT_EQ(pool.size(), 7u);
 }
@@ -363,21 +397,66 @@ TEST(Mempool, PopBatchBounded) {
 TEST(Mempool, RemoveByDigest) {
   Mempool pool;
   const Transaction a = sample_tx(1, 1);
-  pool.add(a);
-  pool.add(sample_tx(1, 2));
+  add(pool, a);
+  add(pool, sample_tx(1, 2));
   pool.remove(a.digest());
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_FALSE(pool.contains(a.digest()));
   // Re-adding after removal works (digest index consistent).
-  EXPECT_TRUE(pool.add(a));
+  EXPECT_TRUE(add(pool, a));
+}
+
+TEST(Mempool, BacklogKeepsFifoAndDedupWithStoredDigests) {
+  constexpr RequestId kBacklog = 1000;
+  Mempool pool;
+  std::vector<Transaction> txs;
+  for (RequestId i = 1; i <= kBacklog; ++i) {
+    txs.push_back(sample_tx(1 + i % 7, i));
+    ASSERT_TRUE(add(pool, txs.back()));
+  }
+  EXPECT_FALSE(add(pool, txs[500]));  // already queued
+  EXPECT_EQ(pool.size(), kBacklog);
+
+  // Remove every third entry by digest, as a backup does after executing a
+  // block produced elsewhere; removing twice is a no-op.
+  for (std::size_t i = 0; i < txs.size(); i += 3) {
+    pool.remove(txs[i].digest());
+    pool.remove(txs[i].digest());
+  }
+  std::vector<Transaction> expected;
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    if (i % 3 != 0) expected.push_back(txs[i]);
+  }
+  EXPECT_EQ(pool.size(), expected.size());
+  ASSERT_TRUE(add(pool, txs[0]));  // a removed entry re-queues at the back
+  expected.push_back(txs[0]);
+
+  // Drain in batches; the predicate sees each entry's stored digest, in
+  // FIFO order, and every fifth one counts as already committed.
+  std::vector<Transaction> popped;
+  std::size_t seen = 0;
+  std::vector<Transaction> kept_expected;
+  while (!pool.empty()) {
+    const auto batch = pool.pop_batch(64, [&](const crypto::Hash256& digest) {
+      EXPECT_EQ(digest, expected[seen].digest()) << "entry " << seen;
+      const bool committed = seen % 5 == 4;
+      if (!committed) kept_expected.push_back(expected[seen]);
+      ++seen;
+      return committed;
+    });
+    popped.insert(popped.end(), batch.begin(), batch.end());
+  }
+  EXPECT_EQ(seen, expected.size());
+  EXPECT_EQ(popped, kept_expected);
+  for (const Transaction& tx : expected) EXPECT_FALSE(pool.contains(tx.digest()));
 }
 
 TEST(Mempool, ClearEmptiesEverything) {
   Mempool pool;
-  pool.add(sample_tx(1, 1));
+  add(pool, sample_tx(1, 1));
   pool.clear();
   EXPECT_TRUE(pool.empty());
-  EXPECT_TRUE(pool.add(sample_tx(1, 1)));
+  EXPECT_TRUE(add(pool, sample_tx(1, 1)));
 }
 
 }  // namespace

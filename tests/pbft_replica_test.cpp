@@ -448,6 +448,52 @@ TEST(PbftReplica, CorruptProposalsRejectedAndPrimaryReplaced) {
   }
 }
 
+TEST(PbftReplica, PrePrepareWithTxMutatedAfterBuildIsRefused) {
+  // Replicas hash each proposed transaction once, on PRE-PREPARE arrival,
+  // and carry those digests to execution. A transaction changed after
+  // build_block leaves the header (so the PRE-PREPARE digest) intact but no
+  // longer matches its Merkle root; the backup must still refuse it.
+  const PbftClusterConfig config = small_cluster(4);
+  PbftCluster cluster(config);
+  cluster.start();
+  const NodeId primary = cluster.replica(0).id();
+  pbft::Replica& backup = cluster.replica(1);
+
+  const auto deliver = [&](const ledger::Block& block) {
+    pbft::PrePrepare msg;
+    msg.view = 0;
+    msg.seq = 1;
+    msg.digest = block.hash();
+    msg.block = block;
+    const Bytes body = msg.encode();
+    net::Envelope envelope;
+    envelope.from = primary;
+    envelope.to = backup.id();
+    envelope.type = pbft::msg_type::kPrePrepare;
+    envelope.payload = pbft::seal(cluster.keys(), primary, backup.id(), envelope.type,
+                                  BytesView(body.data(), body.size()), config.pbft.compute_macs);
+    cluster.network().send(std::move(envelope));
+    cluster.run_for(Duration::seconds(1));
+  };
+  const auto accepted = [&]() {
+    const obs::Counter* counter = cluster.telemetry().metrics().find_counter(
+        "pbft.preprepares_accepted", backup.id());
+    return counter == nullptr ? 0 : counter->value;
+  };
+
+  const ledger::Block honest =
+      ledger::build_block(backup.chain().tip().header, {tx_from(cluster, 0, 1)}, 0, 0, 1,
+                          cluster.simulator().now(), primary);
+  ledger::Block mutated = honest;
+  mutated.transactions[0].fee += 1;
+  ASSERT_EQ(mutated.hash(), honest.hash());
+
+  deliver(mutated);
+  EXPECT_EQ(accepted(), 0u);
+  deliver(honest);  // control: the same proposal, unmutated, is accepted
+  EXPECT_EQ(accepted(), 1u);
+}
+
 TEST(PbftReplica, LargerCommitteeStillCommits) {
   PbftCluster cluster(small_cluster(13));
   cluster.start();

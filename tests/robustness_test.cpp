@@ -91,7 +91,7 @@ ledger::Chain small_chain() {
         ledger::build_block(chain.tip().header, std::move(txs), 0, 0, b,
                             TimePoint{Duration::seconds(static_cast<std::int64_t>(b)).ns},
                             NodeId{1 + b % 4});
-    EXPECT_TRUE(chain.append(block).ok());
+    EXPECT_TRUE(chain.append(block, block.tx_digests()).ok());
   }
   return chain;
 }

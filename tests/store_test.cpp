@@ -32,7 +32,7 @@ Chain build_chain(std::size_t blocks) {
     }
     const Block block = build_block(chain.tip().header, std::move(txs), 0, 0, b,
                                     TimePoint{Duration::seconds(b).ns}, NodeId{1 + b % 4});
-    EXPECT_TRUE(chain.append(block).ok());
+    EXPECT_TRUE(chain.append(block, block.tx_digests()).ok());
   }
   return chain;
 }
@@ -143,7 +143,7 @@ TEST(ChainStore, RestartContinuation) {
       build_block(resumed.value().tip().header,
                   {make_normal_tx(NodeId{9}, 99, Bytes{7}, 5, report_at(100))}, 0, 0, 5,
                   TimePoint{Duration::seconds(100).ns}, NodeId{2});
-  EXPECT_TRUE(resumed.value().append(next).ok());
+  EXPECT_TRUE(resumed.value().append(next, next.tx_digests()).ok());
   EXPECT_EQ(resumed.value().height(), 5u);
   std::remove(path.c_str());
 }
