@@ -17,19 +17,18 @@
 // grid carries batched points too (batch.size=32): same workload, one
 // three-phase instance per 32 requests. Their committed-req/s against the
 // unbatched points is the pipeline's headline speedup, tracked in
-// BENCH_scale.json.
+// BENCH_scale.json. One point runs with MACs on (PBFT n=202, the
+// authenticated configuration the paper's threat model assumes): every
+// message pays a real HMAC seal and verify, so it tracks the crypto layer's
+// host cost. MACs change no simulated outcome, so its golden tip equals the
+// MACs-off point's.
 //
-// Usage: bench_scale [--smoke] [--plane] [--threads-sweep]
+// Usage: bench_scale [--smoke] [--plane]
 //   --smoke   n = 20 only (both protocols, unbatched + batched): the CI
 //             perf-smoke leg. Fails (exit 1) only on golden-hash mismatch —
 //             events/sec is reported, never gated (machines differ;
 //             regressions are judged against BENCH_scale.json trends
 //             instead).
-//   --threads-sweep  parallel MAC plane showcase: the PBFT n=202 point with
-//             MACs ON at sim.threads in {1, 2, 4, 8}. Fails (exit 1) when
-//             the chain tip differs across thread counts (the determinism
-//             contract); wall-clock scaling is reported and recorded as
-//             scale.pbft.macs202.tN series rows.
 //   --plane   million-device WorkloadPlane smoke: a 10^6-device diurnal
 //             PBFT run (n=20, 8 concrete endpoints, batch.size=32) executed
 //             twice with the same seed. Fails (exit 1) when the two runs
@@ -51,7 +50,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "net/workers.hpp"
 #include "sim/experiment.hpp"
 #include "sim/workload_plane.hpp"
 
@@ -63,6 +61,8 @@ struct ScalePoint {
   std::size_t nodes;
   /// Consensus batch close size (1 = the unbatched seed pipeline).
   std::size_t batch_close;
+  /// Real HMAC seal/verify on every message (engine.compute_macs).
+  bool macs;
   /// Tip hash of node 1's chain after the run (seed 1, default
   /// calibration). Unbatched goldens are from the pre-refactor message
   /// plane; batched goldens pin the batched pipeline's first recording.
@@ -71,17 +71,19 @@ struct ScalePoint {
 };
 
 constexpr ScalePoint kPoints[] = {
-    {sim::ProtocolKind::Pbft, 20, 1, "a8dcd8aec20a0a27730cf9c380c933c1b38ddb3d62772c8bdebc205adccb49fe"},
-    {sim::ProtocolKind::Gpbft, 20, 1, "b3e1157c5119e17d83cbb2d8479dd4e71fd79944e30a860f7b406baf56b0a8ef"},
-    {sim::ProtocolKind::Pbft, 100, 1, "e6e54b49f7ed7a2e3988be5d1de7044d16c055ef9c20bab51632d748cc374d59"},
-    {sim::ProtocolKind::Gpbft, 100, 1, "06f9c254a1cfa9134ae6d5570bc4ef6f0db64d3e88930077ee5b8e7c2f0e3414"},
-    {sim::ProtocolKind::Pbft, 202, 1, "30869784007ce186a1d614ad3bcdb11649e95e5c712f6ee18698ce08a598ec55"},
-    {sim::ProtocolKind::Gpbft, 202, 1, "a4e27b6b37cb50e98ab18d27a99223edd2dc7cb0bc7397339c29ad9932b74439"},
+    {sim::ProtocolKind::Pbft, 20, 1, false, "a8dcd8aec20a0a27730cf9c380c933c1b38ddb3d62772c8bdebc205adccb49fe"},
+    {sim::ProtocolKind::Gpbft, 20, 1, false, "b3e1157c5119e17d83cbb2d8479dd4e71fd79944e30a860f7b406baf56b0a8ef"},
+    {sim::ProtocolKind::Pbft, 100, 1, false, "e6e54b49f7ed7a2e3988be5d1de7044d16c055ef9c20bab51632d748cc374d59"},
+    {sim::ProtocolKind::Gpbft, 100, 1, false, "06f9c254a1cfa9134ae6d5570bc4ef6f0db64d3e88930077ee5b8e7c2f0e3414"},
+    {sim::ProtocolKind::Pbft, 202, 1, false, "30869784007ce186a1d614ad3bcdb11649e95e5c712f6ee18698ce08a598ec55"},
+    {sim::ProtocolKind::Gpbft, 202, 1, false, "a4e27b6b37cb50e98ab18d27a99223edd2dc7cb0bc7397339c29ad9932b74439"},
     // Batched pipeline (batch.size=32, engine ceiling raised to match).
-    {sim::ProtocolKind::Pbft, 20, 32, "77cd9a7d4cd45ad084a8cc39a4faf81310f484d916969e46037e99bbc4943856"},
-    {sim::ProtocolKind::Gpbft, 20, 32, "a642ffdd402221bef2e1f100361d46b374e028dbd86557d8a1fa2b0f31db83d8"},
-    {sim::ProtocolKind::Pbft, 202, 32, "f3c52b2791424c542104299c83d84ffc880276be8176d91eff822be7627ac0ee"},
-    {sim::ProtocolKind::Gpbft, 202, 32, "a993e3d202c6135bef9882d670da6212074108d5a60d44818f9f7f5a70b35f60"},
+    {sim::ProtocolKind::Pbft, 20, 32, false, "77cd9a7d4cd45ad084a8cc39a4faf81310f484d916969e46037e99bbc4943856"},
+    {sim::ProtocolKind::Gpbft, 20, 32, false, "a642ffdd402221bef2e1f100361d46b374e028dbd86557d8a1fa2b0f31db83d8"},
+    {sim::ProtocolKind::Pbft, 202, 32, false, "f3c52b2791424c542104299c83d84ffc880276be8176d91eff822be7627ac0ee"},
+    {sim::ProtocolKind::Gpbft, 202, 32, false, "a993e3d202c6135bef9882d670da6212074108d5a60d44818f9f7f5a70b35f60"},
+    // MACs on: same workload and tip as the MACs-off PBFT n=202 point.
+    {sim::ProtocolKind::Pbft, 202, 1, true, "30869784007ce186a1d614ad3bcdb11649e95e5c712f6ee18698ce08a598ec55"},
 };
 
 struct ScaleResult {
@@ -123,15 +125,6 @@ ScaleResult run_spec(const sim::ScenarioSpec& spec) {
   deployment->stop();
   deployment->simulator().run();  // drain in-flight deliveries deterministically
   const auto wall_end = std::chrono::steady_clock::now();
-  if (const net::OrderedRunner* runner = deployment->mac_runner()) {
-    std::fprintf(stderr, "  [mac plane: %llu jobs, %llu stolen by releaser (%.1f%% offloaded)]\n",
-                 static_cast<unsigned long long>(runner->released()),
-                 static_cast<unsigned long long>(runner->stolen()),
-                 runner->released() == 0
-                     ? 0.0
-                     : 100.0 * static_cast<double>(runner->released() - runner->stolen()) /
-                           static_cast<double>(runner->released()));
-  }
 
   ScaleResult result;
   result.experiment.nodes = spec.nodes;
@@ -161,6 +154,7 @@ ScaleResult run_spec(const sim::ScenarioSpec& spec) {
 
 ScaleResult run_point(const ScalePoint& point) {
   sim::ExperimentOptions options = sim::default_options();
+  options.engine.compute_macs = point.macs;
   if (point.batch_close > 1) {
     options.batch.size = point.batch_close;
     // The engine's per-block ceiling must not clip a batch the close
@@ -199,8 +193,8 @@ void append_scale_record(const char* series, const ScaleResult& r) {
 int run(bool smoke) {
   std::printf("bench_scale: message-plane throughput, Fig. 3 workload (seed 1)%s\n",
               smoke ? " [smoke]" : "");
-  std::printf("%6s %6s %6s %6s %10s %12s %9s %12s %10s  %s\n", "proto", "nodes", "batch", "cmte",
-              "committed", "sim events", "wall(s)", "events/sec", "req/s", "tip");
+  std::printf("%6s %6s %6s %4s %6s %10s %12s %9s %12s %10s  %s\n", "proto", "nodes", "batch",
+              "macs", "cmte", "committed", "sim events", "wall(s)", "events/sec", "req/s", "tip");
   int failures = 0;
   for (const ScalePoint& point : kPoints) {
     if (smoke && point.nodes != 20) continue;
@@ -210,21 +204,23 @@ int run(bool smoke) {
         r.experiment.sim_seconds <= 0
             ? 0.0
             : static_cast<double>(r.experiment.committed) / r.experiment.sim_seconds;
-    std::printf("%6s %6zu %6zu %6zu %7llu/%-3llu %12llu %9.2f %12.0f %10.3f  %s\n", proto,
-                point.nodes, point.batch_close, r.experiment.committee,
+    std::printf("%6s %6zu %6zu %4s %6zu %7llu/%-3llu %12llu %9.2f %12.0f %10.3f  %s\n", proto,
+                point.nodes, point.batch_close, point.macs ? "on" : "off", r.experiment.committee,
                 static_cast<unsigned long long>(r.experiment.committed),
                 static_cast<unsigned long long>(r.experiment.expected),
                 static_cast<unsigned long long>(r.sim_events), r.wall_seconds, r.events_per_sec(),
                 committed_per_sec, r.tip_hex.c_str());
     std::string series = std::string("scale.") + proto;
+    if (point.macs) series += ".macs";
     if (point.batch_close > 1) series += ".batch" + std::to_string(point.batch_close);
     append_json_record(series.c_str(), r.experiment, 1);
     append_scale_record(series.c_str(), r);
     if (r.tip_hex != point.golden_tip) {
       std::fprintf(stderr,
-                   "bench_scale: GOLDEN HASH MISMATCH for %s n=%zu batch=%zu\n"
+                   "bench_scale: GOLDEN HASH MISMATCH for %s n=%zu batch=%zu macs=%d\n"
                    "  expected %s\n  actual   %s\n",
-                   proto, point.nodes, point.batch_close, point.golden_tip, r.tip_hex.c_str());
+                   proto, point.nodes, point.batch_close, point.macs ? 1 : 0, point.golden_tip,
+                   r.tip_hex.c_str());
       ++failures;
     }
   }
@@ -236,52 +232,6 @@ int run(bool smoke) {
     return 1;
   }
   std::printf("bench_scale: golden hashes OK\n");
-  return 0;
-}
-
-// --- parallel MAC plane sweep (--threads-sweep) --------------------------------
-
-// The worker-pool showcase: the Fig. 3 PBFT n=202 point with MACs ON —
-// the authenticated configuration the paper's threat model assumes — run
-// at 1, 2, 4 and 8 total threads. Every HMAC seal/verify rides the ordered
-// sequencer, so the tip must be byte-identical across the sweep (enforced
-// here, not just in the test suite); wall-clock is the only thing allowed
-// to move. Recorded as scale.pbft.macs202.tN rows in BENCH_scale.json.
-int run_threads_sweep() {
-  std::printf("bench_scale --threads-sweep: PBFT n=202, MACs on, Fig. 3 workload (seed 1)\n");
-  std::printf("%8s %10s %12s %9s %12s %9s  %s\n", "threads", "committed", "sim events",
-              "wall(s)", "events/sec", "speedup", "tip");
-  sim::ExperimentOptions options = sim::default_options();
-  options.engine.compute_macs = true;
-  sim::ScenarioSpec spec = sim::latency_scenario(sim::ProtocolKind::Pbft, 202, options);
-
-  int failures = 0;
-  std::string baseline_tip;
-  double baseline_wall = 0;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    spec.threads = threads;
-    const ScaleResult r = run_spec(spec);
-    if (threads == 1) {
-      baseline_tip = r.tip_hex;
-      baseline_wall = r.wall_seconds;
-    } else if (r.tip_hex != baseline_tip) {
-      std::fprintf(stderr,
-                   "bench_scale --threads-sweep: NONDETERMINISM at threads=%zu\n"
-                   "  threads=1 tip %s\n  threads=%zu tip %s\n",
-                   threads, baseline_tip.c_str(), threads, r.tip_hex.c_str());
-      ++failures;
-    }
-    const double speedup = r.wall_seconds <= 0 ? 0.0 : baseline_wall / r.wall_seconds;
-    std::printf("%8zu %10llu %12llu %9.2f %12.0f %8.2fx  %s\n", threads,
-                static_cast<unsigned long long>(r.experiment.committed),
-                static_cast<unsigned long long>(r.sim_events), r.wall_seconds,
-                r.events_per_sec(), speedup, r.tip_hex.c_str());
-    const std::string series = "scale.pbft.macs202.t" + std::to_string(threads);
-    append_json_record(series.c_str(), r.experiment, 1);
-    append_scale_record(series.c_str(), r);
-  }
-  if (failures > 0) return 1;
-  std::printf("bench_scale --threads-sweep: tips byte-identical across thread counts\n");
   return 0;
 }
 
@@ -415,20 +365,16 @@ int run_plane() {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool plane = false;
-  bool threads_sweep = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--plane") == 0) {
       plane = true;
-    } else if (std::strcmp(argv[i], "--threads-sweep") == 0) {
-      threads_sweep = true;
     } else {
-      std::fprintf(stderr, "usage: bench_scale [--smoke] [--plane] [--threads-sweep]\n");
+      std::fprintf(stderr, "usage: bench_scale [--smoke] [--plane]\n");
       return 2;
     }
   }
   if (plane) return gpbft::bench::run_plane();
-  if (threads_sweep) return gpbft::bench::run_threads_sweep();
   return gpbft::bench::run(smoke);
 }

@@ -19,12 +19,12 @@
 // Caching & concurrency: identity keys and pairwise session entries are
 // derived once and cached (a session entry also holds the precomputed
 // HmacKey pad states, so a tag costs two SHA-256 passes over the message,
-// not a rederivation chain of four HMACs). Both caches are guarded by
-// shared mutexes — sharded for the O(n^2) session space — because the
-// parallel MAC plane (net::OrderedRunner) computes seal/verify tags from
-// worker threads against one shared registry. Cache population order is
-// thread-schedule-dependent; cache *contents* are pure functions of the
-// genesis seed, so results never depend on interleaving.
+// not a rederivation chain of four HMACs). The caches fill behind a const
+// interface, so they are guarded by shared mutexes — sharded for the
+// O(n^2) session space — to keep a const registry safe to share across
+// threads. The simulator itself seals and verifies on one thread. Cache
+// population order follows the callers' interleaving; cache *contents* are
+// pure functions of the genesis seed, so results never depend on it.
 #pragma once
 
 #include <array>
@@ -97,8 +97,8 @@ class KeyRegistry {
   /// Stable reference into the session cache (entries are never erased).
   [[nodiscard]] const SessionEntry& session_entry(NodeId a, NodeId b) const;
 
-  /// The pairwise space is O(n^2); shard the cache so concurrent workers
-  /// sealing/verifying different links rarely contend on one lock.
+  /// The pairwise space is O(n^2); shard the cache so concurrent callers
+  /// tagging different links rarely contend on one lock.
   struct SessionShard {
     mutable std::shared_mutex mu;
     // std::map: node-based, so references stay valid across inserts.

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 
 namespace gpbft::pbft {
 
@@ -95,24 +94,6 @@ void Client::send_request(const ledger::Transaction& tx) {
              false)};
     for (NodeId endorser : committee_) {
       network_.send(net::Envelope{id_, endorser, msg_type::kClientRequest, payload});
-    }
-    return;
-  }
-  if (network_.mac_plane_active()) {
-    // Per-receiver seals deferred to the worker plane: one shared body
-    // buffer, each receiver's HMAC computed off the simulation thread.
-    const auto shared = std::make_shared<const Bytes>(body);
-    for (NodeId endorser : committee_) {
-      net::Envelope envelope;
-      envelope.from = id_;
-      envelope.to = endorser;
-      envelope.type = msg_type::kClientRequest;
-      envelope.payload = net::Payload(
-          sealed_size(shared->size()), [&keys = keys_, from = id_, endorser, shared]() {
-            return seal(keys, from, endorser, msg_type::kClientRequest,
-                        BytesView(shared->data(), shared->size()), /*compute_macs=*/true);
-          });
-      network_.send(std::move(envelope));
     }
     return;
   }

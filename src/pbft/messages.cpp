@@ -555,16 +555,6 @@ Result<Bytes> open(const crypto::KeyRegistry& keys, NodeId sender, NodeId receiv
 
 Result<BytesView> open_envelope(const crypto::KeyRegistry& keys, NodeId receiver,
                                 const net::Envelope& envelope, bool compute_macs) {
-  const auto& job = envelope.open_job;
-  // A released job is reusable when it checked at least as much as the
-  // caller wants: same strictness, or a *passed* MACs-on verdict serving a
-  // framing-only open (verification implies framing; a MACs-on failure
-  // could be the tag alone, so it cannot answer for framing).
-  if (job != nullptr && job->ready &&
-      (job->macs == compute_macs || (job->macs && job->body.ok()))) {
-    if (!job->body.ok()) return make_error(job->body.error());
-    return BytesView(job->body.value().data(), job->body.value().size());
-  }
   return open_view(keys, envelope.from, receiver, envelope.type, envelope.payload.view(),
                    compute_macs);
 }

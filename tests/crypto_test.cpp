@@ -521,8 +521,8 @@ TEST(Authenticator, MultiPartTagEqualsSinglePartTag) {
 // --- registry caches under concurrent access -----------------------------------------
 
 TEST(Authenticator, RegistryIsConsistentUnderConcurrentDerivation) {
-  // The parallel MAC plane shares one KeyRegistry across workers. Hammer
-  // the identity/session caches from several threads on overlapping links;
+  // A const KeyRegistry is shareable across threads. Hammer the
+  // identity/session caches from several threads on overlapping links;
   // every derived value must equal the serial one (cache contents are pure
   // functions of the seed — population order must not matter). Run under
   // the TSan CI leg, this is also the data-race probe for the caches.

@@ -107,6 +107,7 @@ TEST(Scenario, StrictParseRejectsGarbage) {
   EXPECT_FALSE(parse_scenario("nodes\n").ok());                // no '='
   EXPECT_FALSE(parse_scenario("placement.area_precision=13\n").ok());  // out of range
   EXPECT_FALSE(parse_scenario("workload.period_ns=abc\n").ok());
+  EXPECT_FALSE(parse_scenario("sim.threads=2\n").ok());  // not a key: host threads are no model parameter
 }
 
 TEST(Scenario, ProtocolNamesRoundTrip) {
