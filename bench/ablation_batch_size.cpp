@@ -29,13 +29,13 @@ int main() {
   std::printf("%8s %14s %14s %12s %14s\n", "batch", "mean lat(s)", "p95 lat(s)", "sim time(s)",
               "committed/s");
   for (const std::size_t batch : {1u, 4u, 8u, 16u, 32u, 64u, 128u}) {
-    sim::ExperimentOptions options = sim::default_options();
-    options.batch.size = batch;
+    sim::ScenarioSpec spec = sim::default_spec();
+    spec.batch.size = batch;
     // The ceiling moves with the close size: blocks are exactly the batch
     // the close policy formed (see header comment).
-    options.engine.batch_size = batch;
-    options.workload.txs_per_client = 6;
-    const sim::ExperimentResult result = sim::run_pbft_latency(nodes, options);
+    spec.engine.batch_size = batch;
+    spec.workload.txs_per_client = 6;
+    const sim::ExperimentResult result = sim::run_latency(sim::ProtocolKind::Pbft, nodes, spec);
     // p95 from the merged samples.
     std::vector<double> sorted = result.latency_samples;
     std::sort(sorted.begin(), sorted.end());
@@ -47,7 +47,7 @@ int main() {
     std::printf("%8zu %14.3f %14.3f %12.1f %14.3f\n", batch, result.latency.mean, p95,
                 result.sim_seconds, committed_per_sec);
     std::fflush(stdout);
-    bench::append_json_record("ablation.batch_size", result, options.seed);
+    bench::append_json_record("ablation.batch_size", result, spec.seed);
   }
   return 0;
 }

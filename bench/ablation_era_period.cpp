@@ -39,7 +39,7 @@ EraPeriodResult run_with_period(Duration era_period) {
   spec.workload.period = Duration::seconds(2);
   spec.workload.txs_per_client = 30;
 
-  const std::unique_ptr<sim::GpbftCluster> cluster = sim::make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<sim::GpbftCluster>(spec);
   cluster->start();
 
   sim::LatencyRecorder recorder;

@@ -30,7 +30,7 @@ double run_case(double committee_rate, double device_rate) {
   spec.workload.period = Duration::seconds(5);
   spec.workload.txs_per_client = 8;
 
-  const std::unique_ptr<sim::GpbftCluster> cluster = sim::make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<sim::GpbftCluster>(spec);
   for (std::size_t i = 0; i < cluster->endorser_count(); ++i) {
     const bool in_committee = i < spec.committee.initial;
     cluster->network().set_processing_rate(cluster->endorser(i).id(),

@@ -13,11 +13,11 @@ int main() {
   std::printf("Ablation A4: processing rate s at n = %zu (light load)\n", kNodes);
   std::printf("%10s %14s %16s\n", "s(msg/s)", "mean lat(s)", "lat x s (~const)");
   for (const double rate : {40.0, 80.0, 160.0, 320.0, 640.0}) {
-    sim::ExperimentOptions options = sim::default_options();
-    options.net.processing_rate_msgs_per_sec = rate;
-    options.workload.txs_per_client = 1;  // no backlog: pure O(n/s) regime
-    options.workload.period = Duration::seconds(5);
-    const sim::ExperimentResult result = sim::run_pbft_latency(kNodes, options);
+    sim::ScenarioSpec spec = sim::default_spec();
+    spec.net.processing_rate_msgs_per_sec = rate;
+    spec.workload.txs_per_client = 1;  // no backlog: pure O(n/s) regime
+    spec.workload.period = Duration::seconds(5);
+    const sim::ExperimentResult result = sim::run_latency(sim::ProtocolKind::Pbft, kNodes, spec);
     std::printf("%10.0f %14.3f %16.1f\n", rate, result.latency.mean,
                 result.latency.mean * rate);
     std::fflush(stdout);

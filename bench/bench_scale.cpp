@@ -153,16 +153,15 @@ ScaleResult run_spec(const sim::ScenarioSpec& spec) {
 }
 
 ScaleResult run_point(const ScalePoint& point) {
-  sim::ExperimentOptions options = sim::default_options();
-  options.engine.compute_macs = point.macs;
+  sim::ScenarioSpec base = sim::default_spec();
+  base.engine.compute_macs = point.macs;
   if (point.batch_close > 1) {
-    options.batch.size = point.batch_close;
+    base.batch.size = point.batch_close;
     // The engine's per-block ceiling must not clip a batch the close
     // policy formed (default max_batch_size is 32).
-    options.engine.batch_size = std::max<std::size_t>(options.engine.batch_size,
-                                                      point.batch_close);
+    base.engine.batch_size = std::max<std::size_t>(base.engine.batch_size, point.batch_close);
   }
-  return run_spec(sim::latency_scenario(point.protocol, point.nodes, options));
+  return run_spec(sim::latency_scenario(point.protocol, point.nodes, base));
 }
 
 void append_scale_record(const char* series, const ScaleResult& r) {
@@ -254,9 +253,9 @@ double plane_budget_seconds() {
 /// endpoints, batched pipeline. Aggregate peak = devices * rate = 1000
 /// req/s over a 60 s generation window.
 sim::ScenarioSpec plane_scenario() {
-  sim::ExperimentOptions options = sim::default_options();
-  options.batch.size = 32;
-  sim::ScenarioSpec spec = sim::latency_scenario(sim::ProtocolKind::Pbft, 20, options);
+  sim::ScenarioSpec base = sim::default_spec();
+  base.batch.size = 32;
+  sim::ScenarioSpec spec = sim::latency_scenario(sim::ProtocolKind::Pbft, 20, base);
   spec.clients = 8;
   spec.workload.mode = sim::WorkloadMode::Plane;
   spec.workload.devices = 1'000'000;

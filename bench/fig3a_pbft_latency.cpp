@@ -9,15 +9,15 @@
 int main() {
   using namespace gpbft;
   const std::size_t runs = bench::runs_per_point();
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec spec = sim::default_spec();
 
   std::printf("Fig. 3a: PBFT consensus latency, %zu runs per point\n", runs);
   bench::print_boxplot_header("(boxplot of per-transaction latency, seconds)");
   for (const std::size_t nodes : bench::node_grid()) {
     const sim::ExperimentResult result =
-        sim::repeat_runs(sim::run_pbft_latency, nodes, options, runs);
+        sim::repeat_runs(sim::ProtocolKind::Pbft, nodes, spec, runs);
     bench::print_boxplot_row(result);
-    bench::append_json_record("fig3a.pbft", result, options.seed);
+    bench::append_json_record("fig3a.pbft", result, spec.seed);
     std::fflush(stdout);
   }
   return 0;

@@ -9,17 +9,17 @@
 int main() {
   using namespace gpbft;
   const std::size_t runs = bench::runs_per_point();
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec spec = sim::default_spec();
 
   std::printf("Fig. 3b: G-PBFT consensus latency, %zu runs per point (max committee %zu)\n",
-              runs, options.committee.max);
+              runs, spec.committee.max);
   bench::print_boxplot_header("(boxplot of per-transaction latency, seconds)");
   std::uint64_t switches = 0;
   for (const std::size_t nodes : bench::node_grid()) {
     const sim::ExperimentResult result =
-        sim::repeat_runs(sim::run_gpbft_latency, nodes, options, runs);
+        sim::repeat_runs(sim::ProtocolKind::Gpbft, nodes, spec, runs);
     bench::print_boxplot_row(result);
-    bench::append_json_record("fig3b.gpbft", result, options.seed);
+    bench::append_json_record("fig3b.gpbft", result, spec.seed);
     switches += result.era_switches;
     std::fflush(stdout);
   }

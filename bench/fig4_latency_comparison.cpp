@@ -6,19 +6,19 @@
 
 int main() {
   using namespace gpbft;
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec spec = sim::default_spec();
 
   std::printf("Fig. 4: average consensus latency comparison (seconds)\n");
   std::printf("%6s %12s %12s %8s\n", "nodes", "PBFT(s)", "G-PBFT(s)", "ratio");
   for (const std::size_t nodes : bench::extended_grid()) {
     double pbft_mean = -1.0;
     if (nodes <= 202) {
-      const sim::ExperimentResult pbft = sim::run_pbft_latency(nodes, options);
-      bench::append_json_record("fig4.pbft", pbft, options.seed);
+      const sim::ExperimentResult pbft = sim::run_latency(sim::ProtocolKind::Pbft, nodes, spec);
+      bench::append_json_record("fig4.pbft", pbft, spec.seed);
       pbft_mean = pbft.latency.mean;
     }
-    const sim::ExperimentResult gpbft = sim::run_gpbft_latency(nodes, options);
-    bench::append_json_record("fig4.gpbft", gpbft, options.seed);
+    const sim::ExperimentResult gpbft = sim::run_latency(sim::ProtocolKind::Gpbft, nodes, spec);
+    bench::append_json_record("fig4.gpbft", gpbft, spec.seed);
     const double gpbft_mean = gpbft.latency.mean;
     if (pbft_mean >= 0) {
       std::printf("%6zu %12.3f %12.3f %7.2f%%\n", nodes, pbft_mean, gpbft_mean,

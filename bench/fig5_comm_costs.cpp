@@ -12,25 +12,25 @@
 
 int main() {
   using namespace gpbft;
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec spec = sim::default_spec();
 
   std::printf("Fig. 5a: PBFT communication costs per transaction\n");
   std::printf("%6s %14s %14s\n", "nodes", "consensus(KB)", "total(KB)");
   for (const std::size_t nodes : bench::node_grid()) {
-    const sim::ExperimentResult result = sim::run_pbft_single_tx(nodes, options);
+    const sim::ExperimentResult result = sim::run_single_tx(sim::ProtocolKind::Pbft, nodes, spec);
     std::printf("%6zu %14.2f %14.2f\n", nodes, result.consensus_kb, result.total_kb);
-    bench::append_json_record("fig5a.pbft", result, options.seed);
+    bench::append_json_record("fig5a.pbft", result, spec.seed);
     std::fflush(stdout);
   }
 
   std::printf("\nFig. 5b: G-PBFT communication costs per transaction (max committee %zu)\n",
-              options.committee.max);
+              spec.committee.max);
   std::printf("%6s %6s %14s %14s\n", "nodes", "cmte", "consensus(KB)", "total(KB)");
   for (const std::size_t nodes : bench::node_grid()) {
-    const sim::ExperimentResult result = sim::run_gpbft_single_tx(nodes, options);
+    const sim::ExperimentResult result = sim::run_single_tx(sim::ProtocolKind::Gpbft, nodes, spec);
     std::printf("%6zu %6zu %14.2f %14.2f\n", nodes, result.committee, result.consensus_kb,
                 result.total_kb);
-    bench::append_json_record("fig5b.gpbft", result, options.seed);
+    bench::append_json_record("fig5b.gpbft", result, spec.seed);
     std::fflush(stdout);
   }
   return 0;

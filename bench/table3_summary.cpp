@@ -18,18 +18,18 @@ int main() {
   using namespace ::gpbft::sim;
   constexpr std::size_t kNodes = 202;
 
-  ExperimentOptions options = default_options();
+  ScenarioSpec spec = default_spec();
 
   std::printf("Table III: experimental results when number of nodes is %zu\n\n", kNodes);
 
-  const ExperimentResult pbft_latency = run_pbft_latency(kNodes, options);
-  const ExperimentResult gpbft_latency = run_gpbft_latency(kNodes, options);
-  const ExperimentResult pbft_cost = run_pbft_single_tx(kNodes, options);
-  const ExperimentResult gpbft_cost = run_gpbft_single_tx(kNodes, options);
-  bench::append_json_record("table3.pbft.latency", pbft_latency, options.seed);
-  bench::append_json_record("table3.gpbft.latency", gpbft_latency, options.seed);
-  bench::append_json_record("table3.pbft.cost", pbft_cost, options.seed);
-  bench::append_json_record("table3.gpbft.cost", gpbft_cost, options.seed);
+  const ExperimentResult pbft_latency = run_latency(ProtocolKind::Pbft, kNodes, spec);
+  const ExperimentResult gpbft_latency = run_latency(ProtocolKind::Gpbft, kNodes, spec);
+  const ExperimentResult pbft_cost = run_single_tx(ProtocolKind::Pbft, kNodes, spec);
+  const ExperimentResult gpbft_cost = run_single_tx(ProtocolKind::Gpbft, kNodes, spec);
+  bench::append_json_record("table3.pbft.latency", pbft_latency, spec.seed);
+  bench::append_json_record("table3.gpbft.latency", gpbft_latency, spec.seed);
+  bench::append_json_record("table3.pbft.cost", pbft_cost, spec.seed);
+  bench::append_json_record("table3.gpbft.cost", gpbft_cost, spec.seed);
 
   std::printf("| Consensus | Average latency (s) | Average costs (KB) |\n");
   std::printf("|-----------|---------------------|--------------------|\n");

@@ -17,8 +17,8 @@
 
 int main() {
   using namespace gpbft;
-  sim::ExperimentOptions options = sim::default_options();
-  options.workload.txs_per_client = 6;
+  sim::ScenarioSpec spec = sim::default_spec();
+  spec.workload.txs_per_client = 6;
 
   // --- measured rows ---------------------------------------------------------
   std::printf("Table IV: comparison between consensus mechanisms\n\n");
@@ -31,48 +31,48 @@ int main() {
   };
 
   // PBFT
-  const sim::ExperimentResult pbft40 = sim::run_pbft_latency(40, options);
-  const sim::ExperimentResult pbft202 = sim::run_pbft_latency(202, options);
-  const sim::ExperimentResult pbft_cost = sim::run_pbft_single_tx(202, options);
-  bench::append_json_record("table4.pbft.40", pbft40, options.seed);
-  bench::append_json_record("table4.pbft.202", pbft202, options.seed);
-  bench::append_json_record("table4.pbft.cost", pbft_cost, options.seed);
+  const sim::ExperimentResult pbft40 = sim::run_latency(sim::ProtocolKind::Pbft, 40, spec);
+  const sim::ExperimentResult pbft202 = sim::run_latency(sim::ProtocolKind::Pbft, 202, spec);
+  const sim::ExperimentResult pbft_cost = sim::run_single_tx(sim::ProtocolKind::Pbft, 202, spec);
+  bench::append_json_record("table4.pbft.40", pbft40, spec.seed);
+  bench::append_json_record("table4.pbft.202", pbft202, spec.seed);
+  bench::append_json_record("table4.pbft.cost", pbft_cost, spec.seed);
   std::printf("%-8s %10.1f %13.1fx %14.1f %16s\n", "PBFT", tps(pbft40),
               pbft202.latency.mean / std::max(pbft40.latency.mean, 1e-9),
               pbft_cost.consensus_kb, "~2 MAC/msg");
 
   // dBFT
-  sim::ExperimentOptions dbft_options = options;
-  dbft_options.workload.txs_per_client = 3;  // 15 s pacing: keep runs bounded
-  const sim::ExperimentResult dbft40 = sim::run_dbft_latency(40, dbft_options);
-  const sim::ExperimentResult dbft202 = sim::run_dbft_latency(202, dbft_options);
-  bench::append_json_record("table4.dbft.40", dbft40, dbft_options.seed);
-  bench::append_json_record("table4.dbft.202", dbft202, dbft_options.seed);
+  sim::ScenarioSpec dbft_spec = spec;
+  dbft_spec.workload.txs_per_client = 3;  // 15 s pacing: keep runs bounded
+  const sim::ExperimentResult dbft40 = sim::run_latency(sim::ProtocolKind::Dbft, 40, dbft_spec);
+  const sim::ExperimentResult dbft202 = sim::run_latency(sim::ProtocolKind::Dbft, 202, dbft_spec);
+  bench::append_json_record("table4.dbft.40", dbft40, dbft_spec.seed);
+  bench::append_json_record("table4.dbft.202", dbft202, dbft_spec.seed);
   std::printf("%-8s %10.1f %13.1fx %14.1f %16s\n", "dBFT", tps(dbft40),
               dbft202.latency.mean / std::max(dbft40.latency.mean, 1e-9),
               dbft202.consensus_kb / std::max<double>(1.0, static_cast<double>(dbft202.committed)),
               "~2 MAC/msg");
 
   // PoW
-  sim::ExperimentOptions pow_options = options;
-  pow_options.workload.txs_per_client = 2;
-  pow_options.hard_deadline = Duration::seconds(4000);
-  const sim::ExperimentResult pow40 = sim::run_pow_latency(40, pow_options);
-  const sim::ExperimentResult pow202 = sim::run_pow_latency(202, pow_options);
-  bench::append_json_record("table4.pow.40", pow40, pow_options.seed);
-  bench::append_json_record("table4.pow.202", pow202, pow_options.seed);
+  sim::ScenarioSpec pow_spec = spec;
+  pow_spec.workload.txs_per_client = 2;
+  pow_spec.deadline = Duration::seconds(4000);
+  const sim::ExperimentResult pow40 = sim::run_latency(sim::ProtocolKind::Pow, 40, pow_spec);
+  const sim::ExperimentResult pow202 = sim::run_latency(sim::ProtocolKind::Pow, 202, pow_spec);
+  bench::append_json_record("table4.pow.40", pow40, pow_spec.seed);
+  bench::append_json_record("table4.pow.202", pow202, pow_spec.seed);
   std::printf("%-8s %10.1f %13.1fx %14.1f %11.2e hash\n", "PoW", tps(pow40),
               pow202.latency.mean / std::max(pow40.latency.mean, 1e-9),
               pow202.total_kb / std::max<double>(1.0, static_cast<double>(pow202.committed)),
               pow202.hashes_computed / std::max<double>(1.0, static_cast<double>(pow202.committed)));
 
   // G-PBFT
-  const sim::ExperimentResult gpbft40 = sim::run_gpbft_latency(40, options);
-  const sim::ExperimentResult gpbft202 = sim::run_gpbft_latency(202, options);
-  const sim::ExperimentResult gpbft_cost = sim::run_gpbft_single_tx(202, options);
-  bench::append_json_record("table4.gpbft.40", gpbft40, options.seed);
-  bench::append_json_record("table4.gpbft.202", gpbft202, options.seed);
-  bench::append_json_record("table4.gpbft.cost", gpbft_cost, options.seed);
+  const sim::ExperimentResult gpbft40 = sim::run_latency(sim::ProtocolKind::Gpbft, 40, spec);
+  const sim::ExperimentResult gpbft202 = sim::run_latency(sim::ProtocolKind::Gpbft, 202, spec);
+  const sim::ExperimentResult gpbft_cost = sim::run_single_tx(sim::ProtocolKind::Gpbft, 202, spec);
+  bench::append_json_record("table4.gpbft.40", gpbft40, spec.seed);
+  bench::append_json_record("table4.gpbft.202", gpbft202, spec.seed);
+  bench::append_json_record("table4.gpbft.cost", gpbft_cost, spec.seed);
   std::printf("%-8s %10.1f %13.1fx %14.1f %16s\n", "G-PBFT", tps(gpbft40),
               gpbft202.latency.mean / std::max(gpbft40.latency.mean, 1e-9),
               gpbft_cost.consensus_kb, "~2 MAC/msg");

@@ -17,35 +17,35 @@ int main() {
   using namespace gpbft;
   constexpr std::size_t kNodes = 30;
 
-  sim::ExperimentOptions options = sim::default_options();
-  options.workload.txs_per_client = 2;
-  options.workload.period = Duration::seconds(4);
-  options.committee.max = 10;
-  options.dbft.block_interval = Duration::seconds(15);
-  options.pow.block_interval = Duration::seconds(10);
-  options.pow.confirmations = 3;
-  options.hard_deadline = Duration::seconds(3000);
+  sim::ScenarioSpec spec = sim::default_spec();
+  spec.workload.txs_per_client = 2;
+  spec.workload.period = Duration::seconds(4);
+  spec.committee.max = 10;
+  spec.dbft.block_interval = Duration::seconds(15);
+  spec.pow.block_interval = Duration::seconds(10);
+  spec.pow.confirmations = 3;
+  spec.deadline = Duration::seconds(3000);
 
   std::printf("IoT workload on %zu nodes: %llu devices x %llu transactions each\n\n", kNodes,
               static_cast<unsigned long long>(kNodes),
-              static_cast<unsigned long long>(options.workload.txs_per_client));
+              static_cast<unsigned long long>(spec.workload.txs_per_client));
   std::printf("%-8s %10s %12s %12s %14s %s\n", "protocol", "committee", "mean lat(s)",
               "max lat(s)", "traffic (KB)", "notes");
 
-  const sim::ExperimentResult pbft = sim::run_pbft_latency(kNodes, options);
+  const sim::ExperimentResult pbft = sim::run_latency(sim::ProtocolKind::Pbft, kNodes, spec);
   std::printf("%-8s %10zu %12.2f %12.2f %14.1f %s\n", "PBFT", pbft.committee,
               pbft.latency.mean, pbft.latency.max, pbft.total_kb, "whole network votes");
 
-  const sim::ExperimentResult gpbft = sim::run_gpbft_latency(kNodes, options);
+  const sim::ExperimentResult gpbft = sim::run_latency(sim::ProtocolKind::Gpbft, kNodes, spec);
   std::printf("%-8s %10zu %12.2f %12.2f %14.1f %s\n", "G-PBFT", gpbft.committee,
               gpbft.latency.mean, gpbft.latency.max, gpbft.total_kb,
               "geographic endorser committee");
 
-  const sim::ExperimentResult dbft = sim::run_dbft_latency(kNodes, options);
+  const sim::ExperimentResult dbft = sim::run_latency(sim::ProtocolKind::Dbft, kNodes, spec);
   std::printf("%-8s %10zu %12.2f %12.2f %14.1f %s\n", "dBFT", dbft.committee,
               dbft.latency.mean, dbft.latency.max, dbft.total_kb, "15 s block slots");
 
-  const sim::ExperimentResult pow = sim::run_pow_latency(kNodes, options);
+  const sim::ExperimentResult pow = sim::run_latency(sim::ProtocolKind::Pow, kNodes, spec);
   std::printf("%-8s %10s %12.2f %12.2f %14.1f %.2e hashes burned\n", "PoW", "-",
               pow.latency.mean, pow.latency.max, pow.total_kb, pow.hashes_computed);
 

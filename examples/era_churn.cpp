@@ -49,7 +49,7 @@ int main() {
   spec.workload.period = Duration::seconds(3);
   spec.workload.txs_per_client = 25;
 
-  const std::unique_ptr<sim::GpbftCluster> cluster = sim::make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<sim::GpbftCluster>(spec);
   cluster->start();
 
   // Constant background load from the IoT clients.

@@ -1,8 +1,8 @@
 // Quickstart: a 4-endorser G-PBFT network committing IoT transactions.
 //
 // Shows the minimal public-API flow: describe the deployment with a
-// declarative ScenarioSpec, build it with make_gpbft_deployment(), submit
-// transactions from an IoT client, watch them commit, inspect the ledger,
+// declarative ScenarioSpec, build it with std::make_unique<GpbftCluster>(),
+// submit transactions from an IoT client, watch them commit, inspect the ledger,
 // the fee distribution (70/30 incentive) and the election table (the
 // paper's Table II).
 //
@@ -24,7 +24,7 @@ int main() {
   spec.clients = 2;            // two data-producing devices
   spec.seed = 2024;
 
-  const std::unique_ptr<sim::GpbftCluster> cluster = sim::make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<sim::GpbftCluster>(spec);
   cluster->start();
   std::printf("deployment area (geohash prefix): %s\n",
               cluster->placement().area_prefix().c_str());

@@ -34,7 +34,7 @@ int main() {
   spec.workload.txs_per_client = 8;
   spec.workload.fee = 25;  // parking fee units
 
-  const std::unique_ptr<sim::GpbftCluster> cluster = sim::make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<sim::GpbftCluster>(spec);
   cluster->start();
 
   std::printf("parking lot online: %zu payment machines, committee of %zu, %zu cars\n\n",

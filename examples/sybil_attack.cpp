@@ -30,7 +30,7 @@ int main() {
   spec.geo.min_reports = 2;
   spec.geo.promotion_threshold = Duration::seconds(15);
 
-  const std::unique_ptr<sim::GpbftCluster> cluster = sim::make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<sim::GpbftCluster>(spec);
 
   // Attacker setup. Devices 6-9 are controlled by the adversary.
   //  - device 6: *fabricated* — claims machine 1's cell; physically absent

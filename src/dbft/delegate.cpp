@@ -21,14 +21,6 @@ std::vector<NodeId> genesis_roster(const ledger::Block& genesis) {
   return {};
 }
 
-pbft::PbftConfig phase_rule(const DbftConfig& config) {
-  // dBFT 2.0 (full PREPARE + COMMIT) unless the caller opts into the 1.0
-  // two-phase ablation — see the legacy_two_phase comment in delegate.hpp.
-  pbft::PbftConfig pbft = config.pbft;
-  pbft.two_phase = config.legacy_two_phase;
-  return pbft;
-}
-
 }  // namespace
 
 ledger::Transaction make_vote_tx(NodeId voter, RequestId request_id, NodeId candidate,
@@ -52,7 +44,7 @@ std::optional<NodeId> parse_vote_tx(const ledger::Transaction& tx) {
 Delegate::Delegate(NodeId id, ledger::Block genesis, DbftConfig config,
                    StakeRegistry initial_stakes, std::vector<NodeId> observers,
                    net::Network& network, const crypto::KeyRegistry& keys)
-    : Replica(id, genesis_roster(genesis), genesis, phase_rule(config), network, keys),
+    : Replica(id, genesis_roster(genesis), genesis, config.pbft, network, keys),
       config_(config),
       stakes_(std::move(initial_stakes)),
       delegates_(genesis_roster(genesis)),

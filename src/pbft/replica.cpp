@@ -54,7 +54,7 @@ void Replica::send_to_each(const std::vector<NodeId>& peers, net::MessageType ty
   // MACs off: the seal is receiver-independent (zero tag), so one sealed
   // buffer serves the whole fan-out — N refcount bumps instead of N seals
   // and N payload copies. This is the broadcast hot path of every sweep
-  // (sim::default_options runs with compute_macs=false).
+  // (sim::default_spec runs with compute_macs=false).
   const net::Payload payload{seal(keys_, id_, NodeId{0}, type, body, /*compute_macs=*/false)};
   for (NodeId peer : peers) {
     if (peer == id_) continue;
@@ -509,7 +509,6 @@ bool Replica::propose_batch(std::vector<ledger::Transaction> batch) {
   instance.tx_digests = std::move(tx_digests);
   instance.preprepared = true;
   instance.preprepared_at = now();
-  if (config_.two_phase) instance.prepare_votes[msg.digest].insert(id_);  // speaker's vote
 
   telemetry().count("pbft.batches_proposed", id_);
   telemetry().instant("propose", "pbft", id_,
@@ -581,7 +580,6 @@ void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
   instance.tx_digests = std::move(tx_digests);
   instance.preprepared = true;
   instance.preprepared_at = now();
-  if (config_.two_phase) instance.prepare_votes[msg.digest].insert(from);  // speaker's vote
   telemetry().count("pbft.preprepares_accepted", id_);
 
   // Track request arrival for timeout purposes (backup may not have seen
@@ -641,21 +639,6 @@ void Replica::try_prepare(SeqNum seq) {
   const std::size_t f = faults_tolerated();
   const auto votes_it = instance.prepare_votes.find(instance.digest);
   const std::size_t votes = votes_it == instance.prepare_votes.end() ? 0 : votes_it->second.size();
-
-  if (config_.two_phase) {
-    // dBFT-style: 2f+1 PREPAREs (speaker's proposal included) finalize the
-    // block directly; no COMMIT round.
-    if (votes >= 2 * f + 1) {
-      instance.prepared = true;
-      instance.committed = true;
-      instance.prepared_at = now();
-      instance.committed_at = instance.prepared_at;
-      telemetry().count("pbft.prepared", id_);
-      telemetry().count("pbft.committed", id_);
-      try_execute();
-    }
-    return;
-  }
 
   // prepared == pre-prepare + 2f matching prepares from distinct replicas.
   if (votes >= 2 * f) {

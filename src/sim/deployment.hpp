@@ -20,10 +20,12 @@
 //   PowCluster   — simulated Poisson miners with heaviest-chain fork
 //                  choice; transactions confirm at a configured depth.
 //
-// Deployments are built from a declarative ScenarioSpec via
-// make_deployment() — the only construction path benches, examples and the
-// CLI use. Tests that need full-fidelity knobs may still fill the concrete
-// config structs directly.
+// Every deployment is built from one declarative ScenarioSpec: each
+// cluster's constructor maps the spec onto its protocol's node configs, and
+// make_deployment() picks the cluster the spec's protocol names. Code that
+// needs the concrete API (endorser access, the area registry, ...)
+// constructs the cluster directly — std::make_unique<GpbftCluster>(spec) —
+// and a cluster does not consult spec.protocol.
 #pragma once
 
 #include <functional>
@@ -166,7 +168,8 @@ class Deployment {
   [[nodiscard]] std::size_t client_count() const { return clients_.size(); }
 
  protected:
-  Deployment(std::uint64_t seed, const net::NetConfig& net, const PlacementConfig& placement);
+  /// Simulator, network, keys, placement and storage, seeded from `spec`.
+  explicit Deployment(const ScenarioSpec& spec);
 
   virtual void start_nodes() = 0;
   virtual void stop_nodes() = 0;
@@ -198,18 +201,9 @@ class Deployment {
 
 // --- PBFT baseline ------------------------------------------------------------
 
-struct PbftClusterConfig {
-  std::size_t replicas{4};
-  std::size_t clients{0};
-  std::uint64_t seed{1};
-  net::NetConfig net;
-  pbft::PbftConfig pbft;
-  PlacementConfig placement;
-};
-
 class PbftCluster : public Deployment {
  public:
-  explicit PbftCluster(PbftClusterConfig config);
+  explicit PbftCluster(const ScenarioSpec& spec);
 
   [[nodiscard]] ProtocolKind kind() const override { return ProtocolKind::Pbft; }
   [[nodiscard]] std::vector<NodeId> committee() const override;
@@ -228,30 +222,20 @@ class PbftCluster : public Deployment {
   void stop_nodes() override;
 
  private:
-  PbftClusterConfig config_;
-  ledger::Block genesis_;            // reconstruction material for restarts
+  pbft::PbftConfig config_;          // reconstruction material for restarts
+  ledger::Block genesis_;
   std::vector<NodeId> member_ids_;
   std::vector<std::unique_ptr<pbft::Replica>> replicas_;
 };
 
 // --- G-PBFT deployment ----------------------------------------------------------
 
-struct GpbftClusterConfig {
-  /// Endorser-capable fixed devices (ids 1..nodes). The first
-  /// `initial_committee` form the genesis roster; the rest start as
-  /// candidates and may be promoted by era switches.
-  std::size_t nodes{4};
-  std::size_t initial_committee{4};
-  std::size_t clients{0};
-  std::uint64_t seed{1};
-  net::NetConfig net;
-  ::gpbft::gpbft::GpbftConfig protocol;  // genesis roster/area filled by the cluster
-  PlacementConfig placement;
-};
-
+/// Endorser-capable fixed devices (ids 1..nodes). The first
+/// min(committee.initial, nodes) form the genesis roster; the rest start as
+/// candidates and may be promoted by era switches.
 class GpbftCluster : public Deployment {
  public:
-  explicit GpbftCluster(GpbftClusterConfig config);
+  explicit GpbftCluster(const ScenarioSpec& spec);
 
   [[nodiscard]] ProtocolKind kind() const override { return ProtocolKind::Gpbft; }
   [[nodiscard]] std::vector<NodeId> committee() const override { return roster_; }
@@ -287,7 +271,6 @@ class GpbftCluster : public Deployment {
  private:
   void on_roster(EraId era, const std::vector<NodeId>& roster);
 
-  GpbftClusterConfig config_;
   ::gpbft::gpbft::AreaRegistry area_;
   ::gpbft::gpbft::GpbftConfig protocol_;  // resolved config, for restarts
   ledger::Block genesis_;
@@ -300,23 +283,11 @@ class GpbftCluster : public Deployment {
 
 // --- dBFT deployment ------------------------------------------------------------
 
-struct DbftClusterConfig {
-  /// Delegate-capable members (ids 1..nodes); the first
-  /// min(nodes, delegates) form the genesis delegate roster.
-  std::size_t nodes{7};
-  std::size_t clients{0};
-  std::uint64_t seed{1};
-  net::NetConfig net;
-  pbft::PbftConfig pbft;
-  Duration block_interval = Duration::seconds(15);
-  std::size_t delegates{7};
-  std::size_t epoch_blocks{16};
-  PlacementConfig placement;
-};
-
+/// Delegate-capable members (ids 1..nodes); the first
+/// min(nodes, dbft.delegates) form the genesis delegate roster.
 class DbftCluster : public Deployment {
  public:
-  explicit DbftCluster(DbftClusterConfig config);
+  explicit DbftCluster(const ScenarioSpec& spec);
 
   [[nodiscard]] ProtocolKind kind() const override { return ProtocolKind::Dbft; }
   [[nodiscard]] std::vector<NodeId> committee() const override { return roster_; }
@@ -335,7 +306,6 @@ class DbftCluster : public Deployment {
   void stop_nodes() override;
 
  private:
-  DbftClusterConfig config_;
   dbft::StakeRegistry stakes_;  // no voting unless a test registers stake
   dbft::DbftConfig dbft_config_;  // reconstruction material for restarts
   ledger::Block genesis_;
@@ -346,28 +316,15 @@ class DbftCluster : public Deployment {
 
 // --- PoW deployment -------------------------------------------------------------
 
-struct PowClusterConfig {
-  std::size_t miners{7};
-  /// Proposing devices; their submissions gossip to every miner. PoW has no
-  /// reply path, so proposers are simulated drivers, not pbft::Clients.
-  std::size_t clients{0};
-  std::uint64_t seed{1};
-  net::NetConfig net;
-  /// Transactions a miner packs into one block template. (Distinct from the
-  /// consensus-engine batch.* request-pipeline knobs — this caps block
-  /// contents, not how many requests share a three-phase instance.)
-  std::size_t txs_per_block{32};
-  /// Consensus difficulty = miners * hashrate * block_interval (network-
-  /// wide solve rate of one block per interval).
-  Duration block_interval = Duration::seconds(10);
-  Height confirmations{3};
-  double hashrate{1e6};
-  PlacementConfig placement;
-};
-
+/// Simulated Poisson miners (ids 1..nodes). Proposing devices gossip their
+/// submissions to every miner; PoW has no reply path, so proposers are
+/// simulated drivers, not pbft::Clients. A block template packs at most
+/// engine.batch_size transactions, and the consensus difficulty is
+/// nodes * pow.hashrate * pow.block_interval (a network-wide solve rate of
+/// one block per interval).
 class PowCluster : public Deployment {
  public:
-  explicit PowCluster(PowClusterConfig config);
+  explicit PowCluster(const ScenarioSpec& spec);
 
   [[nodiscard]] ProtocolKind kind() const override { return ProtocolKind::Pow; }
   [[nodiscard]] std::vector<NodeId> committee() const override;
@@ -396,7 +353,7 @@ class PowCluster : public Deployment {
  private:
   void wire_miner(pow::Miner& miner);
 
-  PowClusterConfig config_;
+  std::size_t proposers_;          // spec.clients: gossip drivers, not pbft::Clients
   pow::MinerConfig miner_config_;  // reconstruction material for restarts
   pow::PowBlock genesis_;
   std::vector<NodeId> miner_ids_;
@@ -407,21 +364,7 @@ class PowCluster : public Deployment {
 
 // --- factory ---------------------------------------------------------------------
 
-/// Translates the engine piece of a spec into the PBFT replica config.
-[[nodiscard]] pbft::PbftConfig to_pbft_config(const EngineSpec& engine);
-/// As above, plus the consensus batching knobs (batch.size / batch.timeout
-/// map to PbftConfig::batch_close_size / batch_close_timeout).
-[[nodiscard]] pbft::PbftConfig to_pbft_config(const EngineSpec& engine, const BatchSpec& batch);
-
-/// Builds the deployment a spec describes. The only construction path for
-/// benches, examples and the CLI.
+/// Builds the deployment a spec describes: the cluster spec.protocol names.
 [[nodiscard]] std::unique_ptr<Deployment> make_deployment(const ScenarioSpec& spec);
-
-/// Typed factories for consumers that need the concrete API (G-PBFT area
-/// registry, endorser access, ...). The spec's protocol field must match.
-[[nodiscard]] std::unique_ptr<PbftCluster> make_pbft_deployment(const ScenarioSpec& spec);
-[[nodiscard]] std::unique_ptr<GpbftCluster> make_gpbft_deployment(const ScenarioSpec& spec);
-[[nodiscard]] std::unique_ptr<DbftCluster> make_dbft_deployment(const ScenarioSpec& spec);
-[[nodiscard]] std::unique_ptr<PowCluster> make_pow_deployment(const ScenarioSpec& spec);
 
 }  // namespace gpbft::sim

@@ -7,27 +7,27 @@
 
 namespace gpbft::sim {
 
-ExperimentOptions default_options() {
-  ExperimentOptions options;
+ScenarioSpec default_spec() {
+  ScenarioSpec spec;
   // Loss-free measurement runs: retransmission off so REQUEST traffic
   // matches the paper's testbed (retries are for faulty networks).
-  options.workload.client_retries = false;
-  options.engine.batch_size = 32;
+  spec.workload.client_retries = false;
+  spec.engine.batch_size = 32;
   // Large sweeps skip recomputing HMAC tags (bytes unchanged); see
   // pbft::PbftConfig::compute_macs.
-  options.engine.compute_macs = false;
+  spec.engine.compute_macs = false;
   // Under the saturating workload of the latency experiments, requests can
   // legitimately queue for hundreds of simulated seconds (that queueing is
   // the measurement); the timeout must not fire view changes meanwhile.
-  options.engine.request_timeout = options.hard_deadline;
-  options.committee.era_period = Duration::seconds(30);
+  spec.engine.request_timeout = spec.deadline;
+  spec.committee.era_period = Duration::seconds(30);
   // Promotion machinery parameters: reports every 10 s, Algorithm 1 window
   // of one era period, at least 2 reports; the 72 h stationarity rule is
   // scaled into simulation range so candidate promotion is observable.
-  options.geo.window = options.committee.era_period;
-  options.geo.min_reports = 2;
-  options.geo.promotion_threshold = Duration::seconds(20);
-  return options;
+  spec.geo.window = spec.committee.era_period;
+  spec.geo.min_reports = 2;
+  spec.geo.promotion_threshold = Duration::seconds(20);
+  return spec;
 }
 
 double consensus_kilobytes(const net::NetStats& stats) {
@@ -43,77 +43,54 @@ double consensus_kilobytes(const net::NetStats& stats) {
 
 namespace {
 
-ScenarioSpec scenario_for(ProtocolKind protocol, std::size_t nodes, std::size_t clients,
-                          const ExperimentOptions& options) {
-  ScenarioSpec spec;
-  spec.protocol = protocol;
-  spec.seed = options.seed;
-  spec.nodes = nodes;
-  spec.clients = clients;
-  spec.deadline = options.hard_deadline;
-  spec.workload = options.workload;
-  spec.engine = options.engine;
-  spec.batch = options.batch;
-  spec.net = options.net;
-  spec.committee = options.committee;
-  spec.geo = options.geo;
-  spec.dbft = options.dbft;
-  spec.pow = options.pow;
-  if (protocol == ProtocolKind::Gpbft) {
-    // Steady state of the paper's Fig. 3b: all eligible nodes join until
-    // the maximum; the genesis roster holds them directly so the
-    // measurement is of the steady committee (era switches still run).
-    spec.committee.initial = std::min(nodes, options.committee.max);
-  }
-  return spec;
-}
-
-/// Reads the per-phase histograms the replicas populated back out of the
-/// deployment's registry (sums in seconds; zero family -> empty breakdown).
-PhaseBreakdown phase_breakdown(Deployment& deployment) {
-  PhaseBreakdown phases;
-  const obs::Registry& reg = deployment.telemetry().metrics();
-  const obs::Histogram prepare = reg.histogram_total("pbft.phase.prepare_seconds");
-  const obs::Histogram commit = reg.histogram_total("pbft.phase.commit_seconds");
-  const obs::Histogram execute = reg.histogram_total("pbft.phase.execute_seconds");
-  phases.prepare_s = prepare.sum;
-  phases.commit_s = commit.sum;
-  phases.execute_s = execute.sum;
-  phases.blocks = execute.count;
-  return phases;
-}
-
-ExperimentResult finish_result(std::size_t nodes, std::size_t committee,
-                               const LatencyRecorder& recorder, const net::NetStats& stats,
-                               std::uint64_t committed, std::uint64_t expected,
-                               double sim_seconds, std::uint64_t era_switches) {
+/// The measured quantities of a finished, stopped run. Phase times come
+/// from the per-phase histograms the replicas populated (sums in seconds;
+/// empty for PoW).
+ExperimentResult finish_result(Deployment& deployment, std::size_t nodes,
+                               const LatencyRecorder& recorder, std::uint64_t expected) {
+  deployment.finalize_telemetry();
   ExperimentResult result;
   result.nodes = nodes;
-  result.committee = committee;
+  result.committee = deployment.committee_size();
   result.latency_samples = recorder.samples();
   result.latency = recorder.boxplot();
-  result.committed = committed;
+  result.committed = deployment.committed_count();
   result.expected = expected;
-  result.consensus_kb = consensus_kilobytes(stats);
-  result.total_kb = stats.total_kilobytes();
-  result.sim_seconds = sim_seconds;
-  result.era_switches = era_switches;
+  result.consensus_kb = consensus_kilobytes(deployment.stats());
+  result.total_kb = deployment.stats().total_kilobytes();
+  result.sim_seconds = deployment.simulator().now().to_seconds();
+  result.era_switches = deployment.era_switches();
+  result.hashes_computed = deployment.hashes_computed();
+  const obs::Registry& reg = deployment.telemetry().metrics();
+  const obs::Histogram execute = reg.histogram_total("pbft.phase.execute_seconds");
+  result.phases.prepare_s = reg.histogram_total("pbft.phase.prepare_seconds").sum;
+  result.phases.commit_s = reg.histogram_total("pbft.phase.commit_seconds").sum;
+  result.phases.execute_s = execute.sum;
+  result.phases.blocks = execute.count;
   return result;
 }
 
 }  // namespace
 
 ScenarioSpec latency_scenario(ProtocolKind protocol, std::size_t nodes,
-                              const ExperimentOptions& options) {
-  // One proposing device per node (§V-B).
-  return scenario_for(protocol, nodes, nodes, options);
+                              const ScenarioSpec& base) {
+  ScenarioSpec spec = base;
+  spec.protocol = protocol;
+  spec.nodes = nodes;
+  spec.clients = nodes;  // one proposing device per node (§V-B)
+  if (protocol == ProtocolKind::Gpbft) {
+    // Steady state of the paper's Fig. 3b: all eligible nodes join until
+    // the maximum; the genesis roster holds them directly so the
+    // measurement is of the steady committee (era switches still run).
+    spec.committee.initial = std::min(nodes, base.committee.max);
+  }
+  return spec;
 }
 
 // --- latency experiments ------------------------------------------------------------
 
-ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes,
-                             const ExperimentOptions& options) {
-  const ScenarioSpec spec = latency_scenario(protocol, nodes, options);
+ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes, const ScenarioSpec& base) {
+  const ScenarioSpec spec = latency_scenario(protocol, nodes, base);
   const std::unique_ptr<Deployment> deployment = make_deployment(spec);
   deployment->start();
 
@@ -128,40 +105,17 @@ ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes,
                                      ? deployment->plane()->submitted()
                                      : spec.workload.txs_per_client * nodes;
   deployment->stop();
-
-  deployment->finalize_telemetry();
-  ExperimentResult result = finish_result(
-      nodes, deployment->committee_size(), recorder, deployment->stats(),
-      deployment->committed_count(), expected,
-      deployment->simulator().now().to_seconds(), deployment->era_switches());
-  result.hashes_computed = deployment->hashes_computed();
-  result.phases = phase_breakdown(*deployment);
-  return result;
-}
-
-ExperimentResult run_pbft_latency(std::size_t nodes, const ExperimentOptions& options) {
-  return run_latency(ProtocolKind::Pbft, nodes, options);
-}
-
-ExperimentResult run_gpbft_latency(std::size_t nodes, const ExperimentOptions& options) {
-  return run_latency(ProtocolKind::Gpbft, nodes, options);
-}
-
-ExperimentResult run_dbft_latency(std::size_t nodes, const ExperimentOptions& options) {
-  return run_latency(ProtocolKind::Dbft, nodes, options);
-}
-
-ExperimentResult run_pow_latency(std::size_t nodes, const ExperimentOptions& options) {
-  return run_latency(ProtocolKind::Pow, nodes, options);
+  return finish_result(*deployment, nodes, recorder, expected);
 }
 
 // --- communication-cost experiments ---------------------------------------------------
 
-namespace {
-
-template <typename Cluster>
-ExperimentResult run_single_tx(Cluster& cluster, std::size_t nodes,
-                               const ExperimentOptions& options) {
+ExperimentResult run_single_tx(ProtocolKind protocol, std::size_t nodes,
+                               const ScenarioSpec& base) {
+  ScenarioSpec spec = latency_scenario(protocol, nodes, base);
+  spec.clients = 1;
+  const std::unique_ptr<Deployment> deployment = make_deployment(spec);
+  Deployment& cluster = *deployment;
   cluster.start();
   cluster.run_for(Duration::millis(100));  // settle attachments
   cluster.network().reset_stats();
@@ -174,34 +128,42 @@ ExperimentResult run_single_tx(Cluster& cluster, std::size_t nodes,
       });
   const ledger::Transaction tx = make_workload_tx(
       cluster.client(0).id(), 1, cluster.placement().position(0),
-      cluster.simulator().now(), 32, 10, options.seed);
+      cluster.simulator().now(), 32, 10, spec.seed);
   cluster.client(0).submit(tx);
 
-  const TimePoint deadline{options.hard_deadline.ns};
+  const TimePoint deadline{spec.deadline.ns};
   cluster.run_until_committed(1, deadline);
   cluster.stop();
-  cluster.finalize_telemetry();
-
-  ExperimentResult result =
-      finish_result(nodes, cluster.committee_size(), recorder, cluster.stats(),
-                    cluster.client(0).committed_count(), 1,
-                    cluster.simulator().now().to_seconds(), cluster.era_switches());
-  result.phases = phase_breakdown(cluster);
-  return result;
+  return finish_result(cluster, nodes, recorder, 1);
 }
 
-}  // namespace
-
-ExperimentResult run_pbft_single_tx(std::size_t nodes, const ExperimentOptions& options) {
-  const ScenarioSpec spec = scenario_for(ProtocolKind::Pbft, nodes, 1, options);
-  const std::unique_ptr<PbftCluster> cluster = make_pbft_deployment(spec);
-  return run_single_tx(*cluster, nodes, options);
-}
-
-ExperimentResult run_gpbft_single_tx(std::size_t nodes, const ExperimentOptions& options) {
-  const ScenarioSpec spec = scenario_for(ProtocolKind::Gpbft, nodes, 1, options);
-  const std::unique_ptr<GpbftCluster> cluster = make_gpbft_deployment(spec);
-  return run_single_tx(*cluster, nodes, options);
+ExperimentResult repeat_runs(ProtocolKind protocol, std::size_t nodes, const ScenarioSpec& base,
+                             std::size_t runs) {
+  ExperimentResult merged{};
+  for (std::size_t r = 0; r < runs; ++r) {
+    ScenarioSpec spec = base;
+    spec.seed = base.seed * 7919 + r + 1;
+    ExperimentResult result = run_latency(protocol, nodes, spec);
+    merged.nodes = result.nodes;
+    merged.committee = result.committee;
+    merged.latency_samples.insert(merged.latency_samples.end(), result.latency_samples.begin(),
+                                  result.latency_samples.end());
+    merged.committed += result.committed;
+    merged.expected += result.expected;
+    merged.era_switches += result.era_switches;
+    merged.consensus_kb += result.consensus_kb;
+    merged.total_kb += result.total_kb;
+    merged.sim_seconds += result.sim_seconds;
+    merged.hashes_computed += result.hashes_computed;
+    merged.phases.prepare_s += result.phases.prepare_s;
+    merged.phases.commit_s += result.phases.commit_s;
+    merged.phases.execute_s += result.phases.execute_s;
+    merged.phases.blocks += result.phases.blocks;
+  }
+  merged.consensus_kb /= static_cast<double>(runs);
+  merged.total_kb /= static_cast<double>(runs);
+  merged.latency = BoxplotStats::from_samples(merged.latency_samples);
+  return merged;
 }
 
 }  // namespace gpbft::sim

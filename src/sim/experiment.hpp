@@ -13,7 +13,7 @@
 //     split into consensus traffic (REQUEST + three phases + REPLY) and
 //     total (including geo reports and era control).
 //
-// Calibration is centralised in default_options() — see DESIGN.md §4.
+// Calibration is centralised in default_spec() — see DESIGN.md §4.
 #pragma once
 
 #include <cstdint>
@@ -25,41 +25,12 @@
 
 namespace gpbft::sim {
 
-/// Experiment calibration, decomposed into the same spec pieces a
-/// ScenarioSpec carries. latency_scenario() translates options into the
-/// spec the deployment factory consumes.
-struct ExperimentOptions {
-  std::uint64_t seed{1};
-
-  /// Workload (§V-B: constant-frequency proposals per node). Measurement
-  /// runs keep client_retries off — loss-free testbed semantics.
-  WorkloadSpec workload;
-
-  /// PBFT engine shared by the PBFT / G-PBFT / dBFT deployments.
-  EngineSpec engine;
-
-  /// Consensus batching (batch.size=1 keeps the unbatched seed behaviour).
-  BatchSpec batch;
-
-  /// Network model (the paper's s = processing_rate, §IV-B).
-  net::NetConfig net;
-
-  /// G-PBFT committee bounds (§V-A: min 4, max 40) and era cadence.
-  CommitteeSpec committee;
-
-  /// Geographic-promotion machinery, scaled into simulation range.
-  GeoSpec geo;
-
-  // Simulation guard rail.
-  Duration hard_deadline = Duration::seconds(4000);
-
-  // Baseline protocols (Table IV rows).
-  DbftSpec dbft;
-  PowSpec pow;
-};
-
-/// Calibrated defaults shared by every bench (single source of truth).
-[[nodiscard]] ExperimentOptions default_options();
+/// The calibrated ScenarioSpec every bench starts from (single source of
+/// truth): loss-free workload (client retries off), engine batch 32, MACs
+/// off, request timeout = deadline, 30 s eras, a one-era geo window, at
+/// least 2 reports and a 20 s stationarity threshold. Callers edit the
+/// copy; the runners below fill in protocol, nodes and clients.
+[[nodiscard]] ScenarioSpec default_spec();
 
 /// Per-phase consensus time, read back from the telemetry registry's
 /// pbft.phase.* histograms (summed seconds over all executed blocks on all
@@ -99,71 +70,36 @@ struct ExperimentResult {
 /// Consensus-traffic bytes from network stats (KB).
 [[nodiscard]] double consensus_kilobytes(const net::NetStats& stats);
 
-/// The ScenarioSpec a latency experiment deploys: `nodes` protocol nodes,
-/// one proposing client per node, calibrated engine/net/committee pieces.
-/// (G-PBFT seeds the genesis roster at min(nodes, committee.max): the
-/// paper's Fig. 3b steady state, with era switches still running.)
+/// The ScenarioSpec a latency experiment deploys: `base` with `protocol`,
+/// `nodes` protocol nodes and one proposing client per node. G-PBFT seeds
+/// the genesis roster at min(nodes, committee.max) — the paper's Fig. 3b
+/// steady state, with era switches still running — so a caller's edit to
+/// committee.max moves the roster too.
 [[nodiscard]] ScenarioSpec latency_scenario(ProtocolKind protocol, std::size_t nodes,
-                                            const ExperimentOptions& options);
+                                            const ScenarioSpec& base);
 
 // --- latency (Figs. 3a, 3b, 4; Tables III-IV) ---------------------------------------
 
 /// Runs the constant-frequency workload against the protocol's deployment
-/// and measures per-transaction consensus latency.
+/// and measures per-transaction consensus latency. dBFT seats
+/// min(nodes, dbft.delegates) genesis delegates with NEO-style pacing; PoW
+/// counts a transaction once it reaches pow.confirmations depth on any
+/// miner's best chain, and hashes_computed reports total mining work.
 [[nodiscard]] ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes,
-                                           const ExperimentOptions& options);
-
-[[nodiscard]] ExperimentResult run_pbft_latency(std::size_t nodes,
-                                                const ExperimentOptions& options);
-[[nodiscard]] ExperimentResult run_gpbft_latency(std::size_t nodes,
-                                                 const ExperimentOptions& options);
-/// dBFT: min(nodes, dbft.delegates) genesis delegates, NEO-style pacing.
-[[nodiscard]] ExperimentResult run_dbft_latency(std::size_t nodes,
-                                                const ExperimentOptions& options);
-/// PoW: a transaction counts once it reaches pow.confirmations depth on any
-/// miner's best chain. hashes_computed reports total mining work.
-[[nodiscard]] ExperimentResult run_pow_latency(std::size_t nodes,
-                                               const ExperimentOptions& options);
+                                           const ScenarioSpec& base);
 
 // --- communication cost (Figs. 5a, 5b, 6; Table III) -------------------------------
 
-[[nodiscard]] ExperimentResult run_pbft_single_tx(std::size_t nodes,
-                                                  const ExperimentOptions& options);
-[[nodiscard]] ExperimentResult run_gpbft_single_tx(std::size_t nodes,
-                                                   const ExperimentOptions& options);
+/// Proposes a single transaction from one client and accounts the bytes on
+/// the wire. Needs a protocol whose clients are pbft::Clients (not PoW).
+[[nodiscard]] ExperimentResult run_single_tx(ProtocolKind protocol, std::size_t nodes,
+                                             const ScenarioSpec& base);
 
-/// Repeats a runner over `runs` seeds and merges all per-transaction
-/// latency samples into one distribution (Fig. 3 draws boxplots over ten
-/// runs per node count). Byte costs are averaged across runs.
-template <typename Runner>
-[[nodiscard]] ExperimentResult repeat_runs(Runner&& runner, std::size_t nodes,
-                                           const ExperimentOptions& base_options,
-                                           std::size_t runs) {
-  ExperimentResult merged{};
-  for (std::size_t r = 0; r < runs; ++r) {
-    ExperimentOptions options = base_options;
-    options.seed = base_options.seed * 7919 + r + 1;
-    ExperimentResult result = runner(nodes, options);
-    merged.nodes = result.nodes;
-    merged.committee = result.committee;
-    merged.latency_samples.insert(merged.latency_samples.end(), result.latency_samples.begin(),
-                                  result.latency_samples.end());
-    merged.committed += result.committed;
-    merged.expected += result.expected;
-    merged.era_switches += result.era_switches;
-    merged.consensus_kb += result.consensus_kb;
-    merged.total_kb += result.total_kb;
-    merged.sim_seconds += result.sim_seconds;
-    merged.hashes_computed += result.hashes_computed;
-    merged.phases.prepare_s += result.phases.prepare_s;
-    merged.phases.commit_s += result.phases.commit_s;
-    merged.phases.execute_s += result.phases.execute_s;
-    merged.phases.blocks += result.phases.blocks;
-  }
-  merged.consensus_kb /= static_cast<double>(runs);
-  merged.total_kb /= static_cast<double>(runs);
-  merged.latency = BoxplotStats::from_samples(merged.latency_samples);
-  return merged;
-}
+/// Repeats run_latency over `runs` seeds derived from base.seed and merges
+/// all per-transaction latency samples into one distribution (Fig. 3 draws
+/// boxplots over ten runs per node count). Byte costs are averaged across
+/// runs.
+[[nodiscard]] ExperimentResult repeat_runs(ProtocolKind protocol, std::size_t nodes,
+                                           const ScenarioSpec& base, std::size_t runs);
 
 }  // namespace gpbft::sim

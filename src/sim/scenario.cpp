@@ -1,7 +1,9 @@
 #include "sim/scenario.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,14 +63,12 @@ Result<ArrivalProcess> arrival_from_name(const std::string& name) {
                     "\" (expected constant|poisson|burst|diurnal)");
 }
 
-namespace {
-
 // --- strict value parsers ------------------------------------------------------------
 //
 // Every parser consumes the whole value or fails: "3abc", "1e3garbage" and
 // silent overflow are rejected (the historical strtol-accepts-junk trap).
 
-Result<std::uint64_t> parse_u64(const std::string& value) {
+Result<std::uint64_t> parse_unsigned(const std::string& value) {
   if (value.empty() || value[0] == '-' || value[0] == '+') {
     return make_error("expected unsigned integer, got \"" + value + "\"");
   }
@@ -81,6 +81,19 @@ Result<std::uint64_t> parse_u64(const std::string& value) {
   return static_cast<std::uint64_t>(parsed);
 }
 
+Result<double> parse_number(const std::string& value) {
+  if (value.empty()) return make_error("expected number, got \"\"");
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (end != value.c_str() + value.size() || errno == ERANGE) {
+    return make_error("expected number, got \"" + value + "\"");
+  }
+  return parsed;
+}
+
+namespace {
+
 Result<std::int64_t> parse_i64(const std::string& value) {
   if (value.empty()) return make_error("expected integer, got \"\"");
   errno = 0;
@@ -90,17 +103,6 @@ Result<std::int64_t> parse_i64(const std::string& value) {
     return make_error("expected integer, got \"" + value + "\"");
   }
   return static_cast<std::int64_t>(parsed);
-}
-
-Result<double> parse_double(const std::string& value) {
-  if (value.empty()) return make_error("expected number, got \"\"");
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end != value.c_str() + value.size() || errno == ERANGE) {
-    return make_error("expected number, got \"" + value + "\"");
-  }
-  return parsed;
 }
 
 Result<bool> parse_bool(const std::string& value) {
@@ -130,7 +132,7 @@ struct Field {
 Field u64_field(const char* key, std::uint64_t ScenarioSpec::* member) {
   return {key, [member](const ScenarioSpec& s) { return std::to_string(s.*member); },
           [member](ScenarioSpec& s, const std::string& v) -> Result<void> {
-            auto parsed = parse_u64(v);
+            auto parsed = parse_unsigned(v);
             if (!parsed) return make_error(parsed.error());
             s.*member = parsed.value();
             return {};
@@ -138,12 +140,14 @@ Field u64_field(const char* key, std::uint64_t ScenarioSpec::* member) {
 }
 
 template <typename Sub>
-Field size_field(const char* key, Sub ScenarioSpec::* sub, std::size_t Sub::* member) {
+Field size_field(const char* key, Sub ScenarioSpec::* sub, std::size_t Sub::* member,
+                 std::uint64_t min = 0) {
   return {key,
           [sub, member](const ScenarioSpec& s) { return std::to_string(s.*sub.*member); },
-          [sub, member](ScenarioSpec& s, const std::string& v) -> Result<void> {
-            auto parsed = parse_u64(v);
+          [sub, member, min](ScenarioSpec& s, const std::string& v) -> Result<void> {
+            auto parsed = parse_unsigned(v);
             if (!parsed) return make_error(parsed.error());
+            if (parsed.value() < min) return make_error("must be >= " + std::to_string(min));
             s.*sub.*member = static_cast<std::size_t>(parsed.value());
             return {};
           }};
@@ -154,7 +158,7 @@ Field u64_sub_field(const char* key, Sub ScenarioSpec::* sub, std::uint64_t Sub:
   return {key,
           [sub, member](const ScenarioSpec& s) { return std::to_string(s.*sub.*member); },
           [sub, member](ScenarioSpec& s, const std::string& v) -> Result<void> {
-            auto parsed = parse_u64(v);
+            auto parsed = parse_unsigned(v);
             if (!parsed) return make_error(parsed.error());
             s.*sub.*member = parsed.value();
             return {};
@@ -186,13 +190,50 @@ Field i64_sub_field(const char* key, Sub ScenarioSpec::* sub, std::int64_t Sub::
           }};
 }
 
+/// `valid` (optional) bounds the value; `range` names the bound in errors.
 template <typename Sub>
-Field double_field(const char* key, Sub ScenarioSpec::* sub, double Sub::* member) {
+Field double_field(const char* key, Sub ScenarioSpec::* sub, double Sub::* member,
+                   bool (*valid)(double) = nullptr, const char* range = "") {
   return {key, [sub, member](const ScenarioSpec& s) { return double_str(s.*sub.*member); },
-          [sub, member](ScenarioSpec& s, const std::string& v) -> Result<void> {
-            auto parsed = parse_double(v);
+          [sub, member, valid, range](ScenarioSpec& s, const std::string& v) -> Result<void> {
+            auto parsed = parse_number(v);
             if (!parsed) return make_error(parsed.error());
+            if (valid != nullptr && !valid(parsed.value())) {
+              return make_error(std::string("must be ") + range + ", got \"" + v + "\"");
+            }
             s.*sub.*member = parsed.value();
+            return {};
+          }};
+}
+
+bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+bool probability(double v) { return v >= 0.0 && v <= 1.0; }  // false for NaN
+
+/// Comma-separated node ids; empty means none. Id 0 is the null node.
+Field node_list_field(const char* key, std::vector<NodeId> CommitteeSpec::* member) {
+  return {key,
+          [member](const ScenarioSpec& s) {
+            std::string out;
+            for (const NodeId id : s.committee.*member) {
+              if (!out.empty()) out += ',';
+              out += std::to_string(id.value);
+            }
+            return out;
+          },
+          [member](ScenarioSpec& s, const std::string& v) -> Result<void> {
+            std::vector<NodeId> ids;
+            std::size_t start = 0;
+            while (start < v.size()) {
+              const std::size_t comma = std::min(v.find(',', start), v.size());
+              auto parsed = parse_unsigned(v.substr(start, comma - start));
+              if (!parsed) return make_error(parsed.error());
+              if (parsed.value() == 0) return make_error("node id 0 is the null node");
+              ids.emplace_back(parsed.value());
+              // A trailing comma leaves an empty last id: malformed.
+              if (comma + 1 == v.size()) return make_error("empty node id in \"" + v + "\"");
+              start = comma + 1;
+            }
+            s.committee.*member = std::move(ids);
             return {};
           }};
 }
@@ -223,7 +264,7 @@ const std::vector<Field>& field_table() {
     f.push_back(u64_field("seed", &ScenarioSpec::seed));
     f.push_back({"nodes", [](const ScenarioSpec& s) { return std::to_string(s.nodes); },
                  [](ScenarioSpec& s, const std::string& v) -> Result<void> {
-                   auto parsed = parse_u64(v);
+                   auto parsed = parse_unsigned(v);
                    if (!parsed) return make_error(parsed.error());
                    if (parsed.value() == 0) return make_error("nodes must be >= 1");
                    s.nodes = static_cast<std::size_t>(parsed.value());
@@ -231,7 +272,7 @@ const std::vector<Field>& field_table() {
                  }});
     f.push_back({"clients", [](const ScenarioSpec& s) { return std::to_string(s.clients); },
                  [](ScenarioSpec& s, const std::string& v) -> Result<void> {
-                   auto parsed = parse_u64(v);
+                   auto parsed = parse_unsigned(v);
                    if (!parsed) return make_error(parsed.error());
                    s.clients = static_cast<std::size_t>(parsed.value());
                    return {};
@@ -304,9 +345,11 @@ const std::vector<Field>& field_table() {
     f.push_back(size_field("committee.initial", &ScenarioSpec::committee,
                            &CommitteeSpec::initial));
     f.push_back(size_field("committee.min", &ScenarioSpec::committee, &CommitteeSpec::min));
-    f.push_back(size_field("committee.max", &ScenarioSpec::committee, &CommitteeSpec::max));
+    f.push_back(size_field("committee.max", &ScenarioSpec::committee, &CommitteeSpec::max, 1));
     f.push_back(duration_field("committee.era_period_ns", &ScenarioSpec::committee,
                                &CommitteeSpec::era_period));
+    f.push_back(node_list_field("committee.blacklist", &CommitteeSpec::blacklist));
+    f.push_back(node_list_field("committee.whitelist", &CommitteeSpec::whitelist));
 
     f.push_back(duration_field("geo.report_period_ns", &ScenarioSpec::geo,
                                &GeoSpec::report_period));
@@ -329,15 +372,7 @@ const std::vector<Field>& field_table() {
     f.push_back(duration_field("engine.view_change_timeout_ns", &ScenarioSpec::engine,
                                &EngineSpec::view_change_timeout));
 
-    f.push_back({"batch.size",
-                 [](const ScenarioSpec& s) { return std::to_string(s.batch.size); },
-                 [](ScenarioSpec& s, const std::string& v) -> Result<void> {
-                   auto parsed = parse_u64(v);
-                   if (!parsed) return make_error(parsed.error());
-                   if (parsed.value() == 0) return make_error("batch.size must be >= 1");
-                   s.batch.size = static_cast<std::size_t>(parsed.value());
-                   return {};
-                 }});
+    f.push_back(size_field("batch.size", &ScenarioSpec::batch, &BatchSpec::size, 1));
     f.push_back(duration_field("batch.timeout_ns", &ScenarioSpec::batch, &BatchSpec::timeout));
 
     f.push_back(duration_field("net.base_latency_ns", &ScenarioSpec::net,
@@ -346,15 +381,17 @@ const std::vector<Field>& field_table() {
     f.push_back(double_field("net.bandwidth_bytes_per_sec", &ScenarioSpec::net,
                              &net::NetConfig::bandwidth_bytes_per_sec));
     f.push_back(double_field("net.processing_rate_msgs_per_sec", &ScenarioSpec::net,
-                             &net::NetConfig::processing_rate_msgs_per_sec));
+                             &net::NetConfig::processing_rate_msgs_per_sec, positive_finite,
+                             "finite and > 0"));
     f.push_back(double_field("net.processing_secs_per_byte", &ScenarioSpec::net,
                              &net::NetConfig::processing_secs_per_byte));
-    f.push_back(double_field("net.drop_rate", &ScenarioSpec::net, &net::NetConfig::drop_rate));
+    f.push_back(double_field("net.drop_rate", &ScenarioSpec::net, &net::NetConfig::drop_rate,
+                             probability, "in [0, 1]"));
 
     f.push_back({"placement.base_latitude",
                  [](const ScenarioSpec& s) { return double_str(s.placement.base.latitude); },
                  [](ScenarioSpec& s, const std::string& v) -> Result<void> {
-                   auto parsed = parse_double(v);
+                   auto parsed = parse_number(v);
                    if (!parsed) return make_error(parsed.error());
                    s.placement.base.latitude = parsed.value();
                    return {};
@@ -362,7 +399,7 @@ const std::vector<Field>& field_table() {
     f.push_back({"placement.base_longitude",
                  [](const ScenarioSpec& s) { return double_str(s.placement.base.longitude); },
                  [](ScenarioSpec& s, const std::string& v) -> Result<void> {
-                   auto parsed = parse_double(v);
+                   auto parsed = parse_number(v);
                    if (!parsed) return make_error(parsed.error());
                    s.placement.base.longitude = parsed.value();
                    return {};
@@ -481,22 +518,23 @@ Result<ScenarioSpec> parse_scenario(const std::string& text) {
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
 
-    const Field* match = nullptr;
-    for (const Field& field : field_table()) {
-      if (key == field.key) {
-        match = &field;
-        break;
-      }
-    }
-    if (match == nullptr) {
-      return make_error("line " + std::to_string(line_number) + ": unknown key \"" + key + "\"");
-    }
-    if (Result<void> parsed = match->parse(spec, value); !parsed) {
-      return make_error("line " + std::to_string(line_number) + ": " + key + ": " +
-                        parsed.error());
+    if (Result<void> set = set_scenario_value(spec, key, value); !set) {
+      return make_error("line " + std::to_string(line_number) + ": " + set.error());
     }
   }
   return spec;
+}
+
+Result<void> set_scenario_value(ScenarioSpec& spec, const std::string& key,
+                                const std::string& value) {
+  for (const Field& field : field_table()) {
+    if (key != field.key) continue;
+    if (Result<void> parsed = field.parse(spec, value); !parsed) {
+      return make_error(key + ": " + parsed.error());
+    }
+    return {};
+  }
+  return make_error("unknown key \"" + key + "\"");
 }
 
 }  // namespace gpbft::sim

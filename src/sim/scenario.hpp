@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.hpp"
 #include "net/network.hpp"
@@ -99,13 +100,19 @@ struct BatchSpec {
   friend bool operator==(const BatchSpec&, const BatchSpec&) = default;
 };
 
-/// Committee bounds and era cadence (G-PBFT: §V-A min 4 / max 40; dBFT
-/// reuses `initial` as its delegate count ceiling via DbftSpec).
+/// G-PBFT committee rules fixed in the genesis block (§III-C): genesis
+/// roster size, endorser bounds (§V-A: min 4 / max 40), era cadence and the
+/// admittance lists. (dBFT sizes its roster from DbftSpec::delegates.)
 struct CommitteeSpec {
   std::size_t initial{4};
   std::size_t min{4};
   std::size_t max{40};
   Duration era_period = Duration::seconds(60);
+  /// Devices never admitted to the committee, and devices admitted without
+  /// the stationarity qualification. Written as comma-separated node ids
+  /// (`committee.blacklist=5,6`); empty means none.
+  std::vector<NodeId> blacklist;
+  std::vector<NodeId> whitelist;
 
   friend bool operator==(const CommitteeSpec&, const CommitteeSpec&) = default;
 };
@@ -241,5 +248,15 @@ struct ScenarioSpec {
 /// (trailing junk, overflow), invalid enum values and out-of-range
 /// parameters are errors. Keys not present keep their defaults.
 [[nodiscard]] Result<ScenarioSpec> parse_scenario(const std::string& text);
+
+/// Sets one key of the text format on `spec`, with exactly the validation
+/// parse_scenario applies to a `key=value` line.
+[[nodiscard]] Result<void> set_scenario_value(ScenarioSpec& spec, const std::string& key,
+                                              const std::string& value);
+
+/// The format's strict number parsers: the whole string must be consumed,
+/// and signs on unsigned values, trailing junk and overflow are errors.
+[[nodiscard]] Result<std::uint64_t> parse_unsigned(const std::string& value);
+[[nodiscard]] Result<double> parse_number(const std::string& value);
 
 }  // namespace gpbft::sim

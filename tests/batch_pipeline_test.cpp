@@ -171,7 +171,7 @@ std::unique_ptr<PbftCluster> four_replica_cluster(Duration request_timeout) {
   spec.seed = 11;
   spec.engine.request_timeout = request_timeout;
   spec.engine.view_change_timeout = Duration::seconds(5);
-  return make_pbft_deployment(spec);
+  return std::make_unique<PbftCluster>(spec);
 }
 
 TEST(ClientTable, RetryStormIsServedFromCacheWithoutReconsensus) {

@@ -86,7 +86,7 @@ TEST(ElectionAttack, StockElectionSeatsFlooderReputationQuarantinesIt) {
   // rate audit strikes it and the quarantine latch keeps it off the roster.
   const auto final_roster = [](bool reputation) {
     ScenarioSpec spec = attack_spec(77, reputation);
-    const std::unique_ptr<GpbftCluster> cluster = make_gpbft_deployment(spec);
+    const auto cluster = std::make_unique<GpbftCluster>(spec);
     GpbftCluster* raw = cluster.get();
     cluster->start();
     cluster->schedule_workload(spec.workload, nullptr);
@@ -112,7 +112,7 @@ TEST(ElectionAttack, StockElectionSeatsFlooderReputationQuarantinesIt) {
 
 TEST(ElectionAttack, RestartedEndorserRebuildsReputationAndRejoins) {
   ScenarioSpec spec = attack_spec(7, /*reputation=*/true);
-  const std::unique_ptr<GpbftCluster> cluster = make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<GpbftCluster>(spec);
   InvariantMonitor monitor(cluster->simulator());
   cluster->watch(monitor);
   monitor.set_sybil_detection_grace(spec.geo.window + spec.geo.report_period);

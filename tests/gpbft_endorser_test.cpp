@@ -15,22 +15,22 @@ using ::gpbft::gpbft::Role;
 
 /// A deployment tuned so the era machinery is observable within seconds:
 /// reports every 2 s, eras every 10 s, promotion after 15 s stationary.
-GpbftClusterConfig fast_config(std::size_t nodes, std::size_t committee,
-                               std::size_t max_endorsers = 40) {
-  GpbftClusterConfig config;
+ScenarioSpec fast_config(std::size_t nodes, std::size_t committee,
+                         std::size_t max_endorsers = 40) {
+  ScenarioSpec config;
   config.nodes = nodes;
-  config.initial_committee = committee;
+  config.committee.initial = committee;
   config.clients = 1;
   config.seed = 7;
-  config.protocol.genesis.era_period = Duration::seconds(10);
-  config.protocol.genesis.geo_report_period = Duration::seconds(2);
-  config.protocol.genesis.geo_window = Duration::seconds(10);
-  config.protocol.genesis.min_geo_reports = 2;
-  config.protocol.genesis.promotion_threshold = Duration::seconds(15);
-  config.protocol.genesis.policy.min_endorsers = 4;
-  config.protocol.genesis.policy.max_endorsers = max_endorsers;
-  config.protocol.pbft.request_timeout = Duration::seconds(6);
-  config.protocol.pbft.view_change_timeout = Duration::seconds(5);
+  config.committee.era_period = Duration::seconds(10);
+  config.geo.report_period = Duration::seconds(2);
+  config.geo.window = Duration::seconds(10);
+  config.geo.min_reports = 2;
+  config.geo.promotion_threshold = Duration::seconds(15);
+  config.committee.min = 4;
+  config.committee.max = max_endorsers;
+  config.engine.request_timeout = Duration::seconds(6);
+  config.engine.view_change_timeout = Duration::seconds(5);
   return config;
 }
 
@@ -114,7 +114,7 @@ TEST(Endorser, MovedEndorserDemotedNextEra) {
 TEST(Endorser, MinimumAbortsShrinkingSwitch) {
   // 4 members at the minimum; one moves. Dropping it would violate the
   // minimum, so the switch is aborted and the roster stays intact (§III-C).
-  GpbftClusterConfig config = fast_config(4, 4);
+  ScenarioSpec config = fast_config(4, 4);
   GpbftCluster cluster(config);
   cluster.start();
   cluster.run_for(Duration::seconds(5));
@@ -265,8 +265,8 @@ TEST(Endorser, ForkEvidencePenalizesProducer) {
 }
 
 TEST(Endorser, FeesDistributedSeventyThirty) {
-  GpbftClusterConfig config = fast_config(4, 4);
-  config.protocol.genesis.era_period = Duration::seconds(1000);  // no switches
+  ScenarioSpec config = fast_config(4, 4);
+  config.committee.era_period = Duration::seconds(1000);  // no switches
   GpbftCluster cluster(config);
   cluster.start();
 
@@ -299,8 +299,8 @@ TEST(Endorser, EraSwitchDurationIsShort) {
 }
 
 TEST(Endorser, BlacklistedDeviceNeverJoins) {
-  GpbftClusterConfig config = fast_config(6, 4);
-  config.protocol.genesis.policy.blacklist = {NodeId{6}};
+  ScenarioSpec config = fast_config(6, 4);
+  config.committee.blacklist = {NodeId{6}};
   GpbftCluster cluster(config);
   cluster.start();
   cluster.run_for(Duration::seconds(40));
@@ -315,9 +315,9 @@ TEST(Endorser, BlacklistedDeviceNeverJoins) {
 TEST(Endorser, WhitelistedDeviceSkipsQualification) {
   // A whitelisted device joins at the first era switch even though its
   // geographic timer is far below the promotion threshold (§III-C).
-  GpbftClusterConfig config = fast_config(6, 4);
-  config.protocol.genesis.promotion_threshold = Duration::seconds(3600);  // unreachable
-  config.protocol.genesis.policy.whitelist = {NodeId{5}};
+  ScenarioSpec config = fast_config(6, 4);
+  config.geo.promotion_threshold = Duration::seconds(3600);  // unreachable
+  config.committee.whitelist = {NodeId{5}};
   GpbftCluster cluster(config);
   cluster.start();
   cluster.run_for(Duration::seconds(25));
@@ -330,8 +330,8 @@ TEST(Endorser, WhitelistedDeviceSkipsQualification) {
 TEST(Endorser, OnChainGeoReportsPromoteCandidates) {
   // Full-fidelity mode: location reports are zero-fee transactions, so the
   // election table is derived from committed blocks (chain-based G(v, t)).
-  GpbftClusterConfig config = fast_config(6, 4);
-  config.protocol.geo_reports_on_chain = true;
+  ScenarioSpec config = fast_config(6, 4);
+  config.geo.reports_on_chain = true;
   GpbftCluster cluster(config);
   cluster.start();
   cluster.run_for(Duration::seconds(40));
@@ -351,8 +351,8 @@ TEST(Endorser, OnChainGeoReportsPromoteCandidates) {
 }
 
 TEST(Endorser, OnChainModeNewcomerRebuildsTableFromChain) {
-  GpbftClusterConfig config = fast_config(6, 4);
-  config.protocol.geo_reports_on_chain = true;
+  ScenarioSpec config = fast_config(6, 4);
+  config.geo.reports_on_chain = true;
   GpbftCluster cluster(config);
   cluster.start();
   cluster.run_for(Duration::seconds(40));
@@ -368,7 +368,7 @@ TEST(Endorser, OnChainModeNewcomerRebuildsTableFromChain) {
 TEST(Endorser, LyingTransactionTrailersNotRecorded) {
   // A client whose transactions claim a location the registry contradicts
   // never enters any endorser's election table.
-  GpbftClusterConfig config = fast_config(4, 4);
+  ScenarioSpec config = fast_config(4, 4);
   GpbftCluster cluster(config);
   cluster.start();
 

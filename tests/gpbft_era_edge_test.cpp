@@ -13,19 +13,19 @@ namespace {
 
 using ::gpbft::gpbft::Role;
 
-GpbftClusterConfig edge_config(std::size_t nodes, std::size_t committee) {
-  GpbftClusterConfig config;
+ScenarioSpec edge_config(std::size_t nodes, std::size_t committee) {
+  ScenarioSpec config;
   config.nodes = nodes;
-  config.initial_committee = committee;
+  config.committee.initial = committee;
   config.clients = 1;
   config.seed = 41;
-  config.protocol.genesis.era_period = Duration::seconds(10);
-  config.protocol.genesis.geo_report_period = Duration::seconds(2);
-  config.protocol.genesis.geo_window = Duration::seconds(10);
-  config.protocol.genesis.min_geo_reports = 2;
-  config.protocol.genesis.promotion_threshold = Duration::seconds(15);
-  config.protocol.pbft.request_timeout = Duration::seconds(6);
-  config.protocol.pbft.view_change_timeout = Duration::seconds(5);
+  config.committee.era_period = Duration::seconds(10);
+  config.geo.report_period = Duration::seconds(2);
+  config.geo.window = Duration::seconds(10);
+  config.geo.min_reports = 2;
+  config.geo.promotion_threshold = Duration::seconds(15);
+  config.engine.request_timeout = Duration::seconds(6);
+  config.engine.view_change_timeout = Duration::seconds(5);
   return config;
 }
 
@@ -37,8 +37,8 @@ ledger::Transaction tx_from(GpbftCluster& cluster, RequestId request) {
 TEST(EraEdge, ForgedHaltFromNonLeadIgnored) {
   // Only the current lead may halt the committee (§III-E). A halt signed by
   // a backup endorser is discarded: ordering continues uninterrupted.
-  GpbftClusterConfig config = edge_config(4, 4);
-  config.protocol.genesis.era_period = Duration::seconds(1000);  // no real switches
+  ScenarioSpec config = edge_config(4, 4);
+  config.committee.era_period = Duration::seconds(1000);  // no real switches
   GpbftCluster cluster(config);
   cluster.start();
   cluster.run_for(Duration::seconds(1));
@@ -72,7 +72,7 @@ TEST(EraEdge, ForgedHaltFromNonLeadIgnored) {
 TEST(EraEdge, LeadCrashMidSwitchResumesViaFailsafe) {
   // The lead halts the committee and dies before proposing the config
   // block; the halt failsafe (and the view change) restore ordering.
-  GpbftClusterConfig config = edge_config(6, 4);
+  ScenarioSpec config = edge_config(6, 4);
   GpbftCluster cluster(config);
   cluster.start();
 
@@ -95,7 +95,7 @@ TEST(EraEdge, LeadCrashMidSwitchUnderLossKeepsRosterConsistent) {
   // transaction commits under a new primary) and every surviving active
   // endorser must agree on the era and the production order — checked both
   // explicitly and by the online invariant monitor (agreement + roster).
-  GpbftClusterConfig config = edge_config(6, 4);
+  ScenarioSpec config = edge_config(6, 4);
   config.net.drop_rate = 0.05;
   GpbftCluster cluster(config);
 
@@ -136,7 +136,7 @@ TEST(EraEdge, LeadCrashMidSwitchUnderLossKeepsRosterConsistent) {
 TEST(EraEdge, UnchangedMembershipCancelsSwitch) {
   // With no candidates and a stable committee, every era boundary cancels:
   // the era number never advances, and ordering pauses only briefly.
-  GpbftClusterConfig config = edge_config(4, 4);
+  ScenarioSpec config = edge_config(4, 4);
   GpbftCluster cluster(config);
   cluster.start();
   cluster.run_for(Duration::seconds(35));  // three boundaries
@@ -151,7 +151,7 @@ TEST(EraEdge, UnchangedMembershipCancelsSwitch) {
 TEST(EraEdge, TransactionsQueuedDuringSwitchCommitAfterConfigBlock) {
   // Submissions landing inside the switch window are deferred; the chain
   // must contain the era-1 configuration block before those transactions.
-  GpbftClusterConfig config = edge_config(6, 4);
+  ScenarioSpec config = edge_config(6, 4);
   GpbftCluster cluster(config);
   cluster.start();
 
@@ -182,7 +182,7 @@ TEST(EraEdge, TransactionsQueuedDuringSwitchCommitAfterConfigBlock) {
 }
 
 TEST(EraEdge, PromotedRosterOrderSharedByAllMembers) {
-  GpbftClusterConfig config = edge_config(7, 4);
+  ScenarioSpec config = edge_config(7, 4);
   GpbftCluster cluster(config);
   cluster.start();
   cluster.run_for(Duration::seconds(35));
@@ -198,7 +198,7 @@ TEST(EraEdge, PromotedRosterOrderSharedByAllMembers) {
 TEST(EraEdge, EnrolledCellsTravelOnChain) {
   // After a promotion, the chain's latest configuration transaction carries
   // a cell for every member — the enrolled-location record (DESIGN.md §3).
-  GpbftClusterConfig config = edge_config(6, 4);
+  ScenarioSpec config = edge_config(6, 4);
   GpbftCluster cluster(config);
   cluster.start();
   cluster.run_for(Duration::seconds(35));

@@ -8,31 +8,31 @@
 namespace gpbft::sim {
 namespace {
 
-ExperimentOptions quick_options() {
-  ExperimentOptions options = default_options();
-  options.workload.txs_per_client = 3;
-  options.workload.period = Duration::seconds(2);
-  options.committee.max = 10;  // small cap so the effect shows at small n
-  options.committee.min = 4;
-  options.committee.era_period = Duration::seconds(15);
-  options.geo.window = options.committee.era_period;
-  options.hard_deadline = Duration::seconds(600);
-  return options;
+ScenarioSpec quick_spec() {
+  ScenarioSpec spec = default_spec();
+  spec.workload.txs_per_client = 3;
+  spec.workload.period = Duration::seconds(2);
+  spec.committee.max = 10;  // small cap so the effect shows at small n
+  spec.committee.min = 4;
+  spec.committee.era_period = Duration::seconds(15);
+  spec.geo.window = spec.committee.era_period;
+  spec.deadline = Duration::seconds(600);
+  return spec;
 }
 
 TEST(Integration, GpbftCommitteeCapsAtMaximum) {
-  const ExperimentOptions options = quick_options();
-  EXPECT_EQ(run_gpbft_latency(6, options).committee, 6u);
-  EXPECT_EQ(run_gpbft_latency(10, options).committee, 10u);
-  EXPECT_EQ(run_gpbft_latency(25, options).committee, 10u);  // capped
+  const ScenarioSpec spec = quick_spec();
+  EXPECT_EQ(run_latency(ProtocolKind::Gpbft, 6, spec).committee, 6u);
+  EXPECT_EQ(run_latency(ProtocolKind::Gpbft, 10, spec).committee, 10u);
+  EXPECT_EQ(run_latency(ProtocolKind::Gpbft, 25, spec).committee, 10u);  // capped
 }
 
 TEST(Integration, SmallNetworksBehaveAlike) {
   // Below the cap, G-PBFT *is* PBFT over the same committee (Fig. 3b:
   // "the consensus latency increases just like that in the PBFT").
-  ExperimentOptions options = quick_options();
-  const ExperimentResult pbft = run_pbft_latency(7, options);
-  const ExperimentResult gpbft = run_gpbft_latency(7, options);
+  ScenarioSpec spec = quick_spec();
+  const ExperimentResult pbft = run_latency(ProtocolKind::Pbft, 7, spec);
+  const ExperimentResult gpbft = run_latency(ProtocolKind::Gpbft, 7, spec);
   ASSERT_EQ(pbft.committed, pbft.expected);
   ASSERT_EQ(gpbft.committed, gpbft.expected);
   // Same committee size, latencies within 3x of each other (era-switch
@@ -42,9 +42,9 @@ TEST(Integration, SmallNetworksBehaveAlike) {
 }
 
 TEST(Integration, GpbftLatencyFlatBeyondCap) {
-  ExperimentOptions options = quick_options();
-  const ExperimentResult at_cap = run_gpbft_latency(10, options);
-  const ExperimentResult beyond = run_gpbft_latency(30, options);
+  ScenarioSpec spec = quick_spec();
+  const ExperimentResult at_cap = run_latency(ProtocolKind::Gpbft, 10, spec);
+  const ExperimentResult beyond = run_latency(ProtocolKind::Gpbft, 30, spec);
   ASSERT_EQ(beyond.committed, beyond.expected);
   // 3x the nodes, same committee: mean latency grows by far less than the
   // node ratio (it may grow a little: more clients share the committee).
@@ -52,9 +52,9 @@ TEST(Integration, GpbftLatencyFlatBeyondCap) {
 }
 
 TEST(Integration, PbftLatencyGrowsWithNetwork) {
-  ExperimentOptions options = quick_options();
-  const ExperimentResult small = run_pbft_latency(7, options);
-  const ExperimentResult large = run_pbft_latency(28, options);
+  ScenarioSpec spec = quick_spec();
+  const ExperimentResult small = run_latency(ProtocolKind::Pbft, 7, spec);
+  const ExperimentResult large = run_latency(ProtocolKind::Pbft, 28, spec);
   ASSERT_EQ(small.committed, small.expected);
   ASSERT_EQ(large.committed, large.expected);
   EXPECT_GT(large.latency.mean, small.latency.mean * 1.5);
@@ -62,19 +62,19 @@ TEST(Integration, PbftLatencyGrowsWithNetwork) {
 
 TEST(Integration, GpbftBeatsPbftBeyondCap) {
   // The headline claim at miniature scale.
-  ExperimentOptions options = quick_options();
-  const ExperimentResult pbft = run_pbft_latency(30, options);
-  const ExperimentResult gpbft = run_gpbft_latency(30, options);
+  ScenarioSpec spec = quick_spec();
+  const ExperimentResult pbft = run_latency(ProtocolKind::Pbft, 30, spec);
+  const ExperimentResult gpbft = run_latency(ProtocolKind::Gpbft, 30, spec);
   ASSERT_EQ(gpbft.committed, gpbft.expected);
   EXPECT_LT(gpbft.latency.mean, pbft.latency.mean);
 }
 
 TEST(Integration, CommCostFlatForGpbftGrowingForPbft) {
-  ExperimentOptions options = quick_options();
-  const ExperimentResult pbft_small = run_pbft_single_tx(8, options);
-  const ExperimentResult pbft_large = run_pbft_single_tx(32, options);
-  const ExperimentResult gpbft_small = run_gpbft_single_tx(8, options);
-  const ExperimentResult gpbft_large = run_gpbft_single_tx(32, options);
+  ScenarioSpec spec = quick_spec();
+  const ExperimentResult pbft_small = run_single_tx(ProtocolKind::Pbft, 8, spec);
+  const ExperimentResult pbft_large = run_single_tx(ProtocolKind::Pbft, 32, spec);
+  const ExperimentResult gpbft_small = run_single_tx(ProtocolKind::Gpbft, 8, spec);
+  const ExperimentResult gpbft_large = run_single_tx(ProtocolKind::Gpbft, 32, spec);
 
   // PBFT per-transaction bytes grow ~quadratically: 4x nodes -> ~16x bytes.
   EXPECT_GT(pbft_large.consensus_kb, pbft_small.consensus_kb * 8);
@@ -88,9 +88,9 @@ TEST(Integration, CommCostQuadraticFactorMatchesTheory) {
   // §IV-C: cost reduction ~ c^2/n^2. With n = 32, c = 10 the predicted
   // ratio is ~9.8%; allow generous tolerance for client traffic and the
   // small-committee constant terms.
-  ExperimentOptions options = quick_options();
-  const ExperimentResult pbft = run_pbft_single_tx(32, options);
-  const ExperimentResult gpbft = run_gpbft_single_tx(32, options);
+  ScenarioSpec spec = quick_spec();
+  const ExperimentResult pbft = run_single_tx(ProtocolKind::Pbft, 32, spec);
+  const ExperimentResult gpbft = run_single_tx(ProtocolKind::Gpbft, 32, spec);
   const double ratio = gpbft.consensus_kb / pbft.consensus_kb;
   const double predicted = (10.0 * 10.0) / (32.0 * 32.0);
   EXPECT_GT(ratio, predicted * 0.4);
@@ -99,19 +99,19 @@ TEST(Integration, CommCostQuadraticFactorMatchesTheory) {
 
 TEST(Integration, AllTransactionsCommitUnderChurnLoad) {
   // Era switches during a loaded run never lose transactions.
-  ExperimentOptions options = quick_options();
-  options.committee.era_period = Duration::seconds(8);
-  options.geo.window = options.committee.era_period;
-  options.workload.txs_per_client = 4;
-  const ExperimentResult result = run_gpbft_latency(12, options);
+  ScenarioSpec spec = quick_spec();
+  spec.committee.era_period = Duration::seconds(8);
+  spec.geo.window = spec.committee.era_period;
+  spec.workload.txs_per_client = 4;
+  const ExperimentResult result = run_latency(ProtocolKind::Gpbft, 12, spec);
   EXPECT_EQ(result.committed, result.expected);
 }
 
 TEST(Integration, DbftCommitsWithBlockPacingLatency) {
-  ExperimentOptions options = quick_options();
-  options.workload.txs_per_client = 2;
-  options.dbft.block_interval = Duration::seconds(5);
-  const ExperimentResult result = run_dbft_latency(10, options);
+  ScenarioSpec spec = quick_spec();
+  spec.workload.txs_per_client = 2;
+  spec.dbft.block_interval = Duration::seconds(5);
+  const ExperimentResult result = run_latency(ProtocolKind::Dbft, 10, spec);
   EXPECT_EQ(result.committed, result.expected);
   EXPECT_EQ(result.committee, 7u);  // NEO-style delegate count
   // Latency is dominated by the pacing interval, far above PBFT's
@@ -120,12 +120,12 @@ TEST(Integration, DbftCommitsWithBlockPacingLatency) {
 }
 
 TEST(Integration, PowConfirmsWithProbabilisticLatency) {
-  ExperimentOptions options = quick_options();
-  options.workload.txs_per_client = 1;
-  options.pow.block_interval = Duration::seconds(5);
-  options.pow.confirmations = 2;
-  options.hard_deadline = Duration::seconds(2000);
-  const ExperimentResult result = run_pow_latency(8, options);
+  ScenarioSpec spec = quick_spec();
+  spec.workload.txs_per_client = 1;
+  spec.pow.block_interval = Duration::seconds(5);
+  spec.pow.confirmations = 2;
+  spec.deadline = Duration::seconds(2000);
+  const ExperimentResult result = run_latency(ProtocolKind::Pow, 8, spec);
   EXPECT_EQ(result.committed, result.expected);
   // Multiple block intervals to confirmation, and real hash work spent.
   EXPECT_GT(result.latency.mean, 5.0);
@@ -133,16 +133,16 @@ TEST(Integration, PowConfirmsWithProbabilisticLatency) {
 }
 
 TEST(Integration, GpbftFasterThanBothBaselines) {
-  ExperimentOptions options = quick_options();
-  options.workload.txs_per_client = 2;
-  options.pow.block_interval = Duration::seconds(5);
-  options.pow.confirmations = 2;
-  options.dbft.block_interval = Duration::seconds(5);
-  options.hard_deadline = Duration::seconds(2000);
+  ScenarioSpec spec = quick_spec();
+  spec.workload.txs_per_client = 2;
+  spec.pow.block_interval = Duration::seconds(5);
+  spec.pow.confirmations = 2;
+  spec.dbft.block_interval = Duration::seconds(5);
+  spec.deadline = Duration::seconds(2000);
 
-  const double gpbft = run_gpbft_latency(12, options).latency.mean;
-  const double dbft = run_dbft_latency(12, options).latency.mean;
-  const double pow = run_pow_latency(12, options).latency.mean;
+  const double gpbft = run_latency(ProtocolKind::Gpbft, 12, spec).latency.mean;
+  const double dbft = run_latency(ProtocolKind::Dbft, 12, spec).latency.mean;
+  const double pow = run_latency(ProtocolKind::Pow, 12, spec).latency.mean;
   EXPECT_LT(gpbft, dbft);
   EXPECT_LT(gpbft, pow);
 }
@@ -150,12 +150,12 @@ TEST(Integration, GpbftFasterThanBothBaselines) {
 TEST(Integration, ProcessingRateScalesLatency) {
   // §IV-B: consensus time ~ O(n/s). Halving s should roughly double the
   // queue-free consensus latency.
-  ExperimentOptions options = quick_options();
-  options.workload.txs_per_client = 1;
-  ExperimentOptions slow = options;
-  slow.net.processing_rate_msgs_per_sec = options.net.processing_rate_msgs_per_sec / 2;
-  const ExperimentResult fast_run = run_pbft_latency(10, options);
-  const ExperimentResult slow_run = run_pbft_latency(10, slow);
+  ScenarioSpec spec = quick_spec();
+  spec.workload.txs_per_client = 1;
+  ScenarioSpec slow = spec;
+  slow.net.processing_rate_msgs_per_sec = spec.net.processing_rate_msgs_per_sec / 2;
+  const ExperimentResult fast_run = run_latency(ProtocolKind::Pbft, 10, spec);
+  const ExperimentResult slow_run = run_latency(ProtocolKind::Pbft, 10, slow);
   EXPECT_GT(slow_run.latency.mean, fast_run.latency.mean * 1.4);
   EXPECT_LT(slow_run.latency.mean, fast_run.latency.mean * 3.0);
 }

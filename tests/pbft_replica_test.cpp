@@ -8,13 +8,13 @@
 namespace gpbft::sim {
 namespace {
 
-PbftClusterConfig small_cluster(std::size_t replicas, std::size_t clients = 1) {
-  PbftClusterConfig config;
-  config.replicas = replicas;
+ScenarioSpec small_cluster(std::size_t replicas, std::size_t clients = 1) {
+  ScenarioSpec config;
+  config.nodes = replicas;
   config.clients = clients;
   config.seed = 42;
-  config.pbft.request_timeout = Duration::seconds(8);
-  config.pbft.view_change_timeout = Duration::seconds(6);
+  config.engine.request_timeout = Duration::seconds(8);
+  config.engine.view_change_timeout = Duration::seconds(6);
   return config;
 }
 
@@ -75,8 +75,8 @@ TEST(PbftReplica, CommitsAcrossAllReplicas) {
 }
 
 TEST(PbftReplica, BatchesMultipleTransactions) {
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.max_batch_size = 8;
+  ScenarioSpec config = small_cluster(4);
+  config.engine.batch_size = 8;
   PbftCluster cluster(config);
   cluster.start();
 
@@ -203,9 +203,9 @@ TEST(PbftReplica, CommitsResumeAfterViewChange) {
 }
 
 TEST(PbftReplica, CheckpointAdvancesAndGarbageCollects) {
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.checkpoint_interval = 4;
-  config.pbft.max_batch_size = 1;  // one block per transaction
+  ScenarioSpec config = small_cluster(4);
+  config.engine.checkpoint_interval = 4;
+  config.engine.batch_size = 1;  // one block per transaction
   PbftCluster cluster(config);
   cluster.start();
 
@@ -335,9 +335,9 @@ TEST(PbftReplica, LaggingReplicaSyncsMissedBlocks) {
 TEST(PbftReplica, SyncResponderCapsBatch) {
   // The sync responder sends at most 64 blocks per response; a deeply
   // lagging replica converges over several rounds.
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.max_batch_size = 1;
-  config.pbft.checkpoint_interval = 1000;  // keep the whole log
+  ScenarioSpec config = small_cluster(4);
+  config.engine.batch_size = 1;
+  config.engine.checkpoint_interval = 1000;  // keep the whole log
   PbftCluster cluster(config);
   cluster.start();
 
@@ -380,7 +380,7 @@ TEST(PbftReplica, ReplyCacheAnswersRetransmissions) {
 }
 
 TEST(PbftReplica, ClientRetransmitsAutomatically) {
-  PbftClusterConfig config = small_cluster(4);
+  ScenarioSpec config = small_cluster(4);
   PbftCluster cluster(config);
   cluster.start();
   cluster.client(0).set_retry_interval(Duration::seconds(5));
@@ -402,8 +402,8 @@ TEST(PbftReplica, ClientRetransmitsAutomatically) {
 TEST(PbftReplica, StragglerSyncsFromViewChangeEvidence) {
   // A replica that slept through commits learns it is behind from the
   // last_executed field of view-change traffic and catches up.
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.request_timeout = Duration::seconds(8);
+  ScenarioSpec config = small_cluster(4);
+  config.engine.request_timeout = Duration::seconds(8);
   PbftCluster cluster(config);
   cluster.start();
 
@@ -426,9 +426,9 @@ TEST(PbftReplica, StragglerSyncsFromViewChangeEvidence) {
 }
 
 TEST(PbftReplica, CorruptProposalsRejectedAndPrimaryReplaced) {
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.request_timeout = Duration::seconds(6);
-  config.pbft.view_change_timeout = Duration::seconds(5);
+  ScenarioSpec config = small_cluster(4);
+  config.engine.request_timeout = Duration::seconds(6);
+  config.engine.view_change_timeout = Duration::seconds(5);
   PbftCluster cluster(config);
   cluster.start();
   // View-0 primary proposes blocks whose Merkle root lies about the body.
@@ -453,7 +453,7 @@ TEST(PbftReplica, PrePrepareWithTxMutatedAfterBuildIsRefused) {
   // and carry those digests to execution. A transaction changed after
   // build_block leaves the header (so the PRE-PREPARE digest) intact but no
   // longer matches its Merkle root; the backup must still refuse it.
-  const PbftClusterConfig config = small_cluster(4);
+  const ScenarioSpec config = small_cluster(4);
   PbftCluster cluster(config);
   cluster.start();
   const NodeId primary = cluster.replica(0).id();
@@ -471,7 +471,7 @@ TEST(PbftReplica, PrePrepareWithTxMutatedAfterBuildIsRefused) {
     envelope.to = backup.id();
     envelope.type = pbft::msg_type::kPrePrepare;
     envelope.payload = pbft::seal(cluster.keys(), primary, backup.id(), envelope.type,
-                                  BytesView(body.data(), body.size()), config.pbft.compute_macs);
+                                  BytesView(body.data(), body.size()), config.engine.compute_macs);
     cluster.network().send(std::move(envelope));
     cluster.run_for(Duration::seconds(1));
   };

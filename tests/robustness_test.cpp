@@ -138,8 +138,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StoreImageFuzz, ::testing::Values(11, 22, 33));
 // --- garbage on the wire ------------------------------------------------------------
 
 TEST(Robustness, ReplicaIgnoresGarbagePayloads) {
-  PbftClusterConfig config;
-  config.replicas = 4;
+  ScenarioSpec config;
+  config.nodes = 4;
   config.clients = 1;
   config.seed = 9;
   PbftCluster cluster(config);
@@ -167,8 +167,8 @@ TEST(Robustness, ReplicaIgnoresGarbagePayloads) {
 TEST(Robustness, SpoofedSenderEnvelopesRejected) {
   // A message sealed by node X but delivered in an envelope claiming node Y
   // fails the seal check on arrival.
-  PbftClusterConfig config;
-  config.replicas = 4;
+  ScenarioSpec config;
+  config.nodes = 4;
   config.clients = 1;
   config.seed = 9;
   PbftCluster cluster(config);
@@ -204,8 +204,8 @@ TEST(Robustness, SpoofedSenderEnvelopesRejected) {
 }
 
 TEST(Robustness, ConflictingSyncResponseRejected) {
-  PbftClusterConfig config;
-  config.replicas = 4;
+  ScenarioSpec config;
+  config.nodes = 4;
   config.clients = 1;
   config.seed = 9;
   PbftCluster cluster(config);
@@ -253,12 +253,12 @@ TEST(Robustness, ConflictingSyncResponseRejected) {
 TEST(Robustness, CandidateIgnoresConsensusTraffic) {
   // A candidate endorser receives stray consensus messages (e.g. replayed
   // by an attacker); it must not build chain state from them.
-  GpbftClusterConfig config;
+  ScenarioSpec config;
   config.nodes = 6;
-  config.initial_committee = 4;
+  config.committee.initial = 4;
   config.clients = 0;
   config.seed = 3;
-  config.protocol.genesis.era_period = Duration::seconds(1000);  // no switches
+  config.committee.era_period = Duration::seconds(1000);  // no switches
   GpbftCluster cluster(config);
   cluster.start();
   ASSERT_EQ(cluster.endorser(5).role(), ::gpbft::gpbft::Role::Candidate);
@@ -307,7 +307,7 @@ void faulty_primary_era_switch(pbft::FaultMode mode) {
   spec.workload.period = Duration::seconds(2);
   spec.workload.txs_per_client = 4;
 
-  const std::unique_ptr<GpbftCluster> cluster = make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<GpbftCluster>(spec);
   InvariantMonitor monitor(cluster->simulator());
   cluster->watch(monitor);
   cluster->start();
@@ -346,12 +346,12 @@ TEST(Robustness, CorruptProposalsPrimaryStillReachesEraSwitch) {
 TEST(Robustness, HighLossNetworkEventuallyCommits) {
   // 20% message loss: retransmission-free PBFT relies on quorums being
   // redundant; with the sync protocol the cluster still converges.
-  PbftClusterConfig config;
-  config.replicas = 7;
+  ScenarioSpec config;
+  config.nodes = 7;
   config.clients = 1;
   config.seed = 21;
   config.net.drop_rate = 0.2;
-  config.pbft.request_timeout = Duration::seconds(15);
+  config.engine.request_timeout = Duration::seconds(15);
   PbftCluster cluster(config);
   cluster.start();
 

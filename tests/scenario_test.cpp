@@ -33,6 +33,8 @@ ScenarioSpec exercised_spec() {
   spec.committee.min = 5;
   spec.committee.max = 21;
   spec.committee.era_period = Duration::seconds(45);
+  spec.committee.blacklist = {NodeId{6}, NodeId{30}};
+  spec.committee.whitelist = {NodeId{7}};
   spec.geo.report_period = Duration::seconds(7);
   spec.geo.window = Duration::seconds(35);
   spec.geo.min_reports = 4;
@@ -92,11 +94,13 @@ TEST(Scenario, DefaultsRoundTripToo) {
 
 TEST(Scenario, OmittedKeysKeepDefaults) {
   const Result<ScenarioSpec> parsed =
-      parse_scenario("protocol=pow\nnodes=12\n# a comment\n\nseed=5\n");
+      parse_scenario("protocol=pow\nnodes=12\n# a comment\n\nseed=5\ncommittee.blacklist=6,9\n");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().protocol, ProtocolKind::Pow);
   EXPECT_EQ(parsed.value().nodes, 12u);
   EXPECT_EQ(parsed.value().seed, 5u);
+  EXPECT_EQ(parsed.value().committee.blacklist, (std::vector<NodeId>{NodeId{6}, NodeId{9}}));
+  EXPECT_TRUE(parsed.value().committee.whitelist.empty());
   EXPECT_TRUE(parsed.value().workload == WorkloadSpec{});
 }
 
@@ -108,6 +112,20 @@ TEST(Scenario, StrictParseRejectsGarbage) {
   EXPECT_FALSE(parse_scenario("placement.area_precision=13\n").ok());  // out of range
   EXPECT_FALSE(parse_scenario("workload.period_ns=abc\n").ok());
   EXPECT_FALSE(parse_scenario("sim.threads=2\n").ok());  // not a key: host threads are no model parameter
+  // Values that used to crash a run or were silently accepted out of range.
+  for (const char* rate : {"0", "-5", "nan", "inf"}) {
+    EXPECT_FALSE(parse_scenario(std::string("net.processing_rate_msgs_per_sec=") + rate).ok())
+        << rate;
+  }
+  EXPECT_FALSE(parse_scenario("net.drop_rate=1.5\n").ok());
+  EXPECT_FALSE(parse_scenario("net.drop_rate=-0.1\n").ok());
+  EXPECT_FALSE(parse_scenario("net.drop_rate=nan\n").ok());
+  EXPECT_FALSE(parse_scenario("committee.max=0\n").ok());
+  // Malformed admittance lists.
+  for (const char* list : {"5,,6", "0", "5x", ",5", "5,", "-5"}) {
+    EXPECT_FALSE(parse_scenario(std::string("committee.blacklist=") + list).ok()) << list;
+    EXPECT_FALSE(parse_scenario(std::string("committee.whitelist=") + list).ok()) << list;
+  }
 }
 
 TEST(Scenario, ProtocolNamesRoundTrip) {
@@ -122,10 +140,10 @@ TEST(Scenario, ProtocolNamesRoundTrip) {
 
 // --- deployment parity ----------------------------------------------------------------
 //
-// The golden hashes below were produced by the pre-refactor PbftCluster /
-// GpbftCluster (sim/cluster.hpp, removed in this change) driving the same
-// seeds and workload. The factory-built deployments must replay the exact
-// event sequence: identical tip hashes, heights and commit counts.
+// The golden hashes below pin the exact event sequence a spec-built
+// deployment replays for a fixed seed and workload: identical tip hashes,
+// heights and commit counts. They have held since the clusters were first
+// built from specs; a change here is a behaviour change.
 
 TEST(DeploymentParity, PbftGoldenRunIsBitIdentical) {
   ScenarioSpec spec;
@@ -136,7 +154,7 @@ TEST(DeploymentParity, PbftGoldenRunIsBitIdentical) {
   spec.workload.period = Duration::seconds(2);
   spec.workload.txs_per_client = 4;
 
-  const std::unique_ptr<PbftCluster> cluster = make_pbft_deployment(spec);
+  const auto cluster = std::make_unique<PbftCluster>(spec);
   cluster->start();
   LatencyRecorder recorder;
   cluster->schedule_workload(spec.workload, &recorder);
@@ -169,7 +187,7 @@ TEST(DeploymentParity, GpbftGoldenRunIsBitIdentical) {
   spec.workload.period = Duration::seconds(2);
   spec.workload.txs_per_client = 4;
 
-  const std::unique_ptr<GpbftCluster> cluster = make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<GpbftCluster>(spec);
   cluster->start();
   LatencyRecorder recorder;
   cluster->schedule_workload(spec.workload, &recorder);

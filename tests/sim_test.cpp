@@ -116,8 +116,8 @@ TEST(Workload, MakesDeterministicTransactions) {
 }
 
 TEST(Workload, SubmitsExactlyCountTransactions) {
-  PbftClusterConfig config;
-  config.replicas = 4;
+  ScenarioSpec config;
+  config.nodes = 4;
   config.clients = 1;
   config.seed = 3;
   PbftCluster cluster(config);
@@ -150,23 +150,23 @@ TEST(Workload, StaggerSeparatesClients) {
 // --- cluster plumbing ----------------------------------------------------------------
 
 TEST(Cluster, PbftCommitteeIsAllReplicas) {
-  PbftClusterConfig config;
-  config.replicas = 7;
+  ScenarioSpec config;
+  config.nodes = 7;
   PbftCluster cluster(config);
   EXPECT_EQ(cluster.committee().size(), 7u);
   EXPECT_EQ(cluster.replica_count(), 7u);
 }
 
 TEST(Cluster, GpbftInitialCommitteeClamped) {
-  GpbftClusterConfig config;
+  ScenarioSpec config;
   config.nodes = 3;
-  config.initial_committee = 10;  // more than nodes: clamp
+  config.committee.initial = 10;  // more than nodes: clamp
   GpbftCluster cluster(config);
   EXPECT_EQ(cluster.committee_size(), 3u);
 }
 
 TEST(Cluster, ClientIdsDisjointFromNodeIds) {
-  GpbftClusterConfig config;
+  ScenarioSpec config;
   config.nodes = 5;
   config.clients = 3;
   GpbftCluster cluster(config);
@@ -177,7 +177,7 @@ TEST(Cluster, ClientIdsDisjointFromNodeIds) {
 }
 
 TEST(Cluster, AreaRegistryPopulated) {
-  GpbftClusterConfig config;
+  ScenarioSpec config;
   config.nodes = 5;
   config.clients = 2;
   GpbftCluster cluster(config);
@@ -187,11 +187,11 @@ TEST(Cluster, AreaRegistryPopulated) {
 // --- mobility -----------------------------------------------------------------------
 
 TEST(Mobility, RandomHopKeepsDeviceMobileAndHonest) {
-  GpbftClusterConfig config;
+  ScenarioSpec config;
   config.nodes = 5;
-  config.initial_committee = 4;
+  config.committee.initial = 4;
   config.seed = 4;
-  config.protocol.genesis.era_period = Duration::seconds(1000);  // isolate mobility
+  config.committee.era_period = Duration::seconds(1000);  // isolate mobility
   GpbftCluster cluster(config);
   Mobility mobility(cluster.simulator(), cluster.area(), cluster.placement());
   mobility.random_hop(cluster.endorser(4), Duration::seconds(3), 200, 10);
@@ -206,15 +206,15 @@ TEST(Mobility, RandomHopKeepsDeviceMobileAndHonest) {
 }
 
 TEST(Mobility, MobileDeviceNeverPromoted) {
-  GpbftClusterConfig config;
+  ScenarioSpec config;
   config.nodes = 6;
-  config.initial_committee = 4;
+  config.committee.initial = 4;
   config.seed = 4;
-  config.protocol.genesis.era_period = Duration::seconds(8);
-  config.protocol.genesis.geo_report_period = Duration::seconds(2);
-  config.protocol.genesis.geo_window = Duration::seconds(8);
-  config.protocol.genesis.min_geo_reports = 2;
-  config.protocol.genesis.promotion_threshold = Duration::seconds(10);
+  config.committee.era_period = Duration::seconds(8);
+  config.geo.report_period = Duration::seconds(2);
+  config.geo.window = Duration::seconds(8);
+  config.geo.min_reports = 2;
+  config.geo.promotion_threshold = Duration::seconds(10);
   GpbftCluster cluster(config);
   Mobility mobility(cluster.simulator(), cluster.area(), cluster.placement());
   // Device 6 hops faster than the promotion threshold; device 5 is fixed.
@@ -227,9 +227,9 @@ TEST(Mobility, MobileDeviceNeverPromoted) {
 }
 
 TEST(Mobility, RelocateAtMovesOnce) {
-  GpbftClusterConfig config;
+  ScenarioSpec config;
   config.nodes = 4;
-  config.initial_committee = 4;
+  config.committee.initial = 4;
   GpbftCluster cluster(config);
   Mobility mobility(cluster.simulator(), cluster.area(), cluster.placement());
   const geo::GeoPoint target = cluster.placement().position(77);
@@ -243,9 +243,9 @@ TEST(Mobility, RelocateAtMovesOnce) {
 }
 
 TEST(Mobility, StopHaltsDrivers) {
-  GpbftClusterConfig config;
+  ScenarioSpec config;
   config.nodes = 4;
-  config.initial_committee = 4;
+  config.committee.initial = 4;
   GpbftCluster cluster(config);
   Mobility mobility(cluster.simulator(), cluster.area(), cluster.placement());
   mobility.random_hop(cluster.endorser(0), Duration::seconds(1), 100, 5);
@@ -267,25 +267,43 @@ TEST(Experiment, ConsensusBytesExcludeGeoTraffic) {
   EXPECT_DOUBLE_EQ(consensus_kilobytes(stats), 3.0);
 }
 
+TEST(Experiment, DefaultSpecPinsCalibration) {
+  // The bench calibration (DESIGN.md §4), field by field; every other value
+  // keeps its ScenarioSpec default. Printing both sides names any drifted
+  // key in the failure message.
+  ScenarioSpec expected;
+  expected.workload.client_retries = false;
+  expected.engine.batch_size = 32;
+  expected.engine.compute_macs = false;
+  expected.engine.request_timeout = expected.deadline;
+  expected.committee.era_period = Duration::seconds(30);
+  expected.geo.window = Duration::seconds(30);
+  expected.geo.min_reports = 2;
+  expected.geo.promotion_threshold = Duration::seconds(20);
+  ASSERT_EQ(expected.deadline.ns, Duration::seconds(4000).ns);
+  EXPECT_EQ(print_scenario(default_spec()), print_scenario(expected));
+  EXPECT_TRUE(default_spec() == expected);
+}
+
 TEST(Experiment, RepeatRunsMergesSamples) {
-  ExperimentOptions options = default_options();
-  options.workload.txs_per_client = 1;
-  options.workload.period = Duration::seconds(1);
-  options.hard_deadline = Duration::seconds(120);
-  const ExperimentResult merged = repeat_runs(run_pbft_latency, 4, options, 3);
+  ScenarioSpec spec = default_spec();
+  spec.workload.txs_per_client = 1;
+  spec.workload.period = Duration::seconds(1);
+  spec.deadline = Duration::seconds(120);
+  const ExperimentResult merged = repeat_runs(ProtocolKind::Pbft, 4, spec, 3);
   EXPECT_EQ(merged.committed, merged.expected);
   EXPECT_EQ(merged.latency_samples.size(), 3u * 4u);  // 3 runs x 4 clients x 1 tx
   EXPECT_EQ(merged.latency.count, merged.latency_samples.size());
 }
 
 TEST(Experiment, DeterministicForSameSeed) {
-  ExperimentOptions options = default_options();
-  options.workload.txs_per_client = 2;
-  options.workload.period = Duration::seconds(1);
-  options.hard_deadline = Duration::seconds(120);
-  options.seed = 99;
-  const ExperimentResult a = run_pbft_latency(4, options);
-  const ExperimentResult b = run_pbft_latency(4, options);
+  ScenarioSpec spec = default_spec();
+  spec.workload.txs_per_client = 2;
+  spec.workload.period = Duration::seconds(1);
+  spec.deadline = Duration::seconds(120);
+  spec.seed = 99;
+  const ExperimentResult a = run_latency(ProtocolKind::Pbft, 4, spec);
+  const ExperimentResult b = run_latency(ProtocolKind::Pbft, 4, spec);
   EXPECT_EQ(a.latency_samples, b.latency_samples);
   EXPECT_DOUBLE_EQ(a.consensus_kb, b.consensus_kb);
 }

@@ -51,12 +51,12 @@ class PbftTorture : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PbftTorture, RandomCrashRecoverScheduleNeverDiverges) {
   const std::uint64_t seed = GetParam();
 
-  PbftClusterConfig config;
-  config.replicas = 7;  // f = 2
+  ScenarioSpec config;
+  config.nodes = 7;  // f = 2
   config.clients = 3;
   config.seed = seed;
-  config.pbft.request_timeout = Duration::seconds(6);
-  config.pbft.view_change_timeout = Duration::seconds(5);
+  config.engine.request_timeout = Duration::seconds(6);
+  config.engine.view_change_timeout = Duration::seconds(5);
   config.net.drop_rate = 0.02;  // constant background loss
   PbftCluster cluster(config);
 
@@ -120,12 +120,12 @@ TEST_P(ByzantineTorture, FByzantineReplicasCannotBreakSafety) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed ^ 0xbeef);
 
-  PbftClusterConfig config;
-  config.replicas = 7;  // f = 2
+  ScenarioSpec config;
+  config.nodes = 7;  // f = 2
   config.clients = 2;
   config.seed = seed;
-  config.pbft.request_timeout = Duration::seconds(6);
-  config.pbft.view_change_timeout = Duration::seconds(5);
+  config.engine.request_timeout = Duration::seconds(6);
+  config.engine.view_change_timeout = Duration::seconds(5);
   PbftCluster cluster(config);
 
   InvariantMonitor monitor(cluster.simulator());
@@ -197,20 +197,20 @@ TEST_P(GpbftTorture, ChurnPlusFaultsKeepCommitteeChainsConsistent) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed ^ 0xfeed);
 
-  GpbftClusterConfig config;
+  ScenarioSpec config;
   config.nodes = 10;
-  config.initial_committee = 6;
+  config.committee.initial = 6;
   config.clients = 3;
   config.seed = seed;
-  config.protocol.genesis.era_period = Duration::seconds(8);
-  config.protocol.genesis.geo_report_period = Duration::seconds(2);
-  config.protocol.genesis.geo_window = Duration::seconds(8);
-  config.protocol.genesis.min_geo_reports = 2;
-  config.protocol.genesis.promotion_threshold = Duration::seconds(12);
-  config.protocol.genesis.policy.min_endorsers = 4;
-  config.protocol.genesis.policy.max_endorsers = 8;
-  config.protocol.pbft.request_timeout = Duration::seconds(6);
-  config.protocol.pbft.view_change_timeout = Duration::seconds(5);
+  config.committee.era_period = Duration::seconds(8);
+  config.geo.report_period = Duration::seconds(2);
+  config.geo.window = Duration::seconds(8);
+  config.geo.min_reports = 2;
+  config.geo.promotion_threshold = Duration::seconds(12);
+  config.committee.min = 4;
+  config.committee.max = 8;
+  config.engine.request_timeout = Duration::seconds(6);
+  config.engine.view_change_timeout = Duration::seconds(5);
   GpbftCluster cluster(config);
 
   InvariantMonitor monitor(cluster.simulator());

@@ -50,6 +50,11 @@
 //   --era-period SEC    G-PBFT era switch period    (30)
 //   --runs R         seeded repetitions (sweep)     (1)
 //   --csv            machine-readable output
+// Numeric values are parsed as strictly as a scenario file: junk, trailing
+// characters and out-of-range values (a zero or non-finite --rate, a zero
+// --max-committee) exit 2 before anything runs.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,7 +79,7 @@ struct CliOptions {
   std::vector<std::size_t> nodes = {40};
   std::size_t runs = 1;
   bool csv = false;
-  sim::ExperimentOptions experiment = sim::default_options();
+  sim::ScenarioSpec spec = sim::default_spec();
   std::string intensity = "all";  // chaos: light|medium|heavy|all
   std::size_t seeds = 10;         // chaos: seeds per (protocol, intensity)
   double restart_chance = 0.0;    // chaos: crash-restart-from-disk chance per step
@@ -135,19 +140,45 @@ void print_usage() {
                "  --top N                          hotspot/slowest-request table rows (15)\n");
 }
 
-std::vector<std::size_t> parse_node_list(const std::string& arg) {
-  std::vector<std::size_t> nodes;
+bool parse_count(const std::string& value, std::size_t& out) {
+  const auto parsed = sim::parse_unsigned(value);
+  if (!parsed || parsed.value() == 0) return false;
+  out = static_cast<std::size_t>(parsed.value());
+  return true;
+}
+
+bool parse_chance(const std::string& value, double& out) {
+  const auto parsed = sim::parse_number(value);
+  if (!parsed || !(parsed.value() >= 0.0 && parsed.value() <= 1.0)) return false;
+  out = parsed.value();
+  return true;
+}
+
+bool parse_seconds(const std::string& value, Duration& out) {
+  const auto parsed = sim::parse_number(value);
+  if (!parsed || !std::isfinite(parsed.value()) || parsed.value() < 0.0) return false;
+  out = Duration::from_seconds(parsed.value());
+  return true;
+}
+
+bool parse_node_list(const std::string& arg, std::vector<std::size_t>& nodes) {
+  nodes.clear();
   std::size_t start = 0;
-  while (start < arg.size()) {
-    const std::size_t comma = arg.find(',', start);
-    const std::string token =
-        arg.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    const long value = std::strtol(token.c_str(), nullptr, 10);
-    if (value > 0) nodes.push_back(static_cast<std::size_t>(value));
-    if (comma == std::string::npos) break;
+  while (start <= arg.size()) {
+    const std::size_t comma = std::min(arg.find(',', start), arg.size());
+    std::size_t value = 0;
+    if (!parse_count(arg.substr(start, comma - start), value)) return false;
+    nodes.push_back(value);
     start = comma + 1;
   }
-  return nodes;
+  return true;
+}
+
+/// A flag that names a scenario key: same parser, same range checks.
+bool set_key(sim::ScenarioSpec& spec, const char* key, const std::string& value) {
+  const Result<void> set = sim::set_scenario_value(spec, key, value);
+  if (!set) std::fprintf(stderr, "%s\n", set.error().c_str());
+  return set.ok();
 }
 
 bool parse_args(int argc, char** argv, CliOptions& options) {
@@ -187,48 +218,42 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.protocol = value;
       options.protocol_set = true;
     } else if (flag == "--nodes") {
-      options.nodes = parse_node_list(value);
-      if (options.nodes.empty()) return false;
+      if (!parse_node_list(value, options.nodes)) return false;
     } else if (flag == "--seed") {
-      options.experiment.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set_key(options.spec, "seed", value)) return false;
       options.seed_set = true;
     } else if (flag == "--txs") {
-      options.experiment.workload.txs_per_client = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set_key(options.spec, "workload.txs_per_client", value)) return false;
       options.txs_set = true;
     } else if (flag == "--period") {
-      options.experiment.workload.period = Duration::from_seconds(std::atof(value.c_str()));
+      if (!parse_seconds(value, options.spec.workload.period)) return false;
     } else if (flag == "--rate") {
-      options.experiment.net.processing_rate_msgs_per_sec = std::atof(value.c_str());
+      if (!set_key(options.spec, "net.processing_rate_msgs_per_sec", value)) return false;
     } else if (flag == "--batch") {
-      options.experiment.engine.batch_size = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set_key(options.spec, "engine.batch_size", value)) return false;
     } else if (flag == "--batch-close") {
-      options.experiment.batch.size = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set_key(options.spec, "batch.size", value)) return false;
     } else if (flag == "--batch-timeout") {
-      options.experiment.batch.timeout = Duration::from_seconds(std::strtod(value.c_str(), nullptr));
+      if (!parse_seconds(value, options.spec.batch.timeout)) return false;
     } else if (flag == "--max-committee") {
-      options.experiment.committee.max = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set_key(options.spec, "committee.max", value)) return false;
     } else if (flag == "--era-period") {
       // The promotion window follows the era cadence (Algorithm 1 evaluates
       // one era's worth of reports).
-      options.experiment.committee.era_period = Duration::from_seconds(std::atof(value.c_str()));
-      options.experiment.geo.window = options.experiment.committee.era_period;
+      if (!parse_seconds(value, options.spec.committee.era_period)) return false;
+      options.spec.geo.window = options.spec.committee.era_period;
     } else if (flag == "--runs") {
-      options.runs = std::strtoull(value.c_str(), nullptr, 10);
-      if (options.runs == 0) options.runs = 1;
+      if (!parse_count(value, options.runs)) return false;
     } else if (flag == "--seeds") {
-      options.seeds = std::strtoull(value.c_str(), nullptr, 10);
-      if (options.seeds == 0) options.seeds = 1;
+      if (!parse_count(value, options.seeds)) return false;
     } else if (flag == "--intensity") {
       options.intensity = value;
     } else if (flag == "--restarts") {
-      options.restart_chance = std::atof(value.c_str());
-      if (options.restart_chance < 0.0 || options.restart_chance > 1.0) return false;
+      if (!parse_chance(value, options.restart_chance)) return false;
     } else if (flag == "--disk-faults") {
-      options.disk_fault_chance = std::atof(value.c_str());
-      if (options.disk_fault_chance < 0.0 || options.disk_fault_chance > 1.0) return false;
+      if (!parse_chance(value, options.disk_fault_chance)) return false;
     } else if (flag == "--tamper-chance") {
-      options.tamper_chance = std::atof(value.c_str());
-      if (options.tamper_chance < 0.0 || options.tamper_chance > 1.0) return false;
+      if (!parse_chance(value, options.tamper_chance)) return false;
     } else if (flag == "--scenario") {
       options.scenario_path = value;
     } else if (flag == "--trace-out") {
@@ -240,8 +265,7 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
     } else if (flag == "--collapsed-out") {
       options.collapsed_out = value;
     } else if (flag == "--top") {
-      options.top = std::strtoull(value.c_str(), nullptr, 10);
-      if (options.top == 0) options.top = 15;
+      if (!parse_count(value, options.top)) return false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -271,11 +295,11 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
 int run_chaos(const CliOptions& options) {
   sim::ChaosCampaignOptions campaign;
   campaign.seeds = options.seeds;
-  campaign.base_seed = options.experiment.seed;
+  campaign.base_seed = options.spec.seed;
   campaign.committee = options.nodes.empty() ? 7 : options.nodes.front();
   campaign.restart_chance = options.restart_chance;
   campaign.disk_fault_chance = options.disk_fault_chance;
-  if (options.txs_set) campaign.txs_per_client = options.experiment.workload.txs_per_client;
+  if (options.txs_set) campaign.txs_per_client = options.spec.workload.txs_per_client;
   if (options.intensity != "all") campaign.intensities = {options.intensity};
   if (options.protocol != "all") {
     campaign.protocols = {sim::protocol_from_name(options.protocol).value()};
@@ -307,17 +331,6 @@ int run_chaos(const CliOptions& options) {
   return result.failed_runs() == 0 ? 0 : 1;
 }
 
-sim::ExperimentResult run_latency(const CliOptions& options, std::size_t nodes) {
-  return sim::run_latency(sim::protocol_from_name(options.protocol).value(), nodes,
-                          options.experiment);
-}
-
-sim::ExperimentResult run_cost(const CliOptions& options, std::size_t nodes) {
-  if (options.protocol == "pbft") return sim::run_pbft_single_tx(nodes, options.experiment);
-  if (options.protocol == "gpbft") return sim::run_gpbft_single_tx(nodes, options.experiment);
-  std::fprintf(stderr, "cost: only pbft/gpbft supported\n");
-  std::exit(2);
-}
 
 void print_result(const std::string& protocol, bool csv, const sim::ExperimentResult& r) {
   if (csv) {
@@ -364,7 +377,7 @@ int run_scenario(const CliOptions& options) {
   }
   sim::ScenarioSpec spec = parsed.value();
   if (options.protocol_set) spec.protocol = sim::protocol_from_name(options.protocol).value();
-  if (options.seed_set) spec.seed = options.experiment.seed;
+  if (options.seed_set) spec.seed = options.spec.seed;
 
   const std::unique_ptr<sim::Deployment> deployment = sim::make_deployment(spec);
   const bool profiling = options.command == "profile";
@@ -549,30 +562,23 @@ int main(int argc, char** argv) {
     return run_scenario(options);
   }
 
+  const sim::ProtocolKind protocol = sim::protocol_from_name(options.protocol).value();
+  if (options.command == "cost" && protocol != sim::ProtocolKind::Pbft &&
+      protocol != sim::ProtocolKind::Gpbft) {
+    std::fprintf(stderr, "cost: only pbft/gpbft supported\n");
+    return 2;
+  }
   if (options.csv) print_csv_header();
-
-  if (options.command == "latency") {
-    for (const std::size_t nodes : options.nodes) {
-      print_result(options.protocol, options.csv, run_latency(options, nodes));
-    }
-    return 0;
-  }
-  if (options.command == "cost") {
-    for (const std::size_t nodes : options.nodes) {
-      print_result(options.protocol, options.csv, run_cost(options, nodes));
-    }
-    return 0;
-  }
-  // sweep: repeated seeded runs per node count, merged distributions.
   for (const std::size_t nodes : options.nodes) {
-    const sim::ExperimentResult merged = sim::repeat_runs(
-        [&options](std::size_t n, const sim::ExperimentOptions& experiment) {
-          CliOptions point = options;
-          point.experiment = experiment;
-          return run_latency(point, n);
-        },
-        nodes, options.experiment, options.runs);
-    print_result(options.protocol, options.csv, merged);
+    sim::ExperimentResult result;
+    if (options.command == "latency") {
+      result = sim::run_latency(protocol, nodes, options.spec);
+    } else if (options.command == "cost") {
+      result = sim::run_single_tx(protocol, nodes, options.spec);
+    } else {  // sweep: repeated seeded runs per node count, merged distributions
+      result = sim::repeat_runs(protocol, nodes, options.spec, options.runs);
+    }
+    print_result(options.protocol, options.csv, result);
   }
   return 0;
 }
