@@ -6,8 +6,7 @@
 #include <map>
 #include <optional>
 
-#include "sim/deployment.hpp"
-#include "sim/workload.hpp"
+#include "sim/experiment.hpp"
 
 namespace gpbft::sim {
 
@@ -566,6 +565,30 @@ ChaosProfile profile_for(const std::string& intensity) {
   std::abort();
 }
 
+ScenarioSpec campaign_spec() {
+  ScenarioSpec spec;
+  spec.clients = 2;
+  spec.workload.txs_per_client = 6;
+  spec.workload.period = Duration::seconds(4);
+  spec.engine.request_timeout = Duration::seconds(6);
+  spec.engine.view_change_timeout = Duration::seconds(5);
+  // G-PBFT: the promotion machinery is compressed into the horizon so era
+  // switches happen while faults are live.
+  spec.committee.era_period = Duration::seconds(15);
+  spec.geo.report_period = Duration::seconds(3);
+  spec.geo.window = Duration::seconds(12);
+  spec.geo.min_reports = 2;
+  spec.geo.promotion_threshold = Duration::seconds(20);
+  // dBFT: block pacing compressed below the fault horizon so several blocks
+  // (and the speaker rotation) happen while faults are live.
+  spec.dbft.block_interval = Duration::seconds(5);
+  // PoW: faster blocks and a shallower depth keep confirmation latency well
+  // inside the liveness grace window.
+  spec.pow.block_interval = Duration::seconds(5);
+  spec.pow.confirmations = 2;
+  return spec;
+}
+
 namespace {
 
 /// Decorrelates (base seed, run index, intensity) into a plan seed.
@@ -575,154 +598,45 @@ std::uint64_t mix_seed(std::uint64_t base, std::uint64_t run, const std::string&
   return splitmix64(h);
 }
 
-/// The ScenarioSpec a chaos run deploys for `protocol`. Shared pieces:
-/// campaign workload with retries on (faulty networks), PBFT timeouts tuned
-/// below the horizon so view changes fire under faults.
-ScenarioSpec chaos_scenario(ProtocolKind protocol, const ChaosCampaignOptions& options,
-                            std::uint64_t seed) {
-  ScenarioSpec spec;
+/// `base` as campaign run `run` of `protocol` at `intensity`, shaped to the
+/// campaign's committee.
+ScenarioSpec campaign_run_spec(const ScenarioSpec& base, const ChaosCampaignOptions& options,
+                               ProtocolKind protocol, const std::string& intensity,
+                               std::uint64_t run) {
+  ScenarioSpec spec = base;
   spec.protocol = protocol;
-  spec.seed = seed;
+  spec.seed = base.seed + run;
+  spec.chaos.intensity = intensity;
   spec.nodes = options.committee;
-  spec.clients = options.clients;
-  spec.workload.txs_per_client = options.txs_per_client;
-  spec.workload.period = options.tx_period;
-  spec.engine.request_timeout = Duration::seconds(6);
-  spec.engine.view_change_timeout = Duration::seconds(5);
-  // Only the G-PBFT deployment reads this; for the other protocols it is
-  // inert configuration.
-  spec.reputation.enabled = options.reputation;
-  switch (protocol) {
-    case ProtocolKind::Pbft:
-      break;
-    case ProtocolKind::Gpbft:
-      // Candidates join mid-run; the promotion machinery is compressed into
-      // the horizon so era switches happen while faults are live.
-      spec.nodes = options.committee + options.candidates;
-      spec.committee.initial = options.committee;
-      spec.committee.min = std::min<std::size_t>(options.committee, 4);
-      spec.committee.max = spec.nodes;
-      spec.committee.era_period = Duration::seconds(15);
-      spec.geo.report_period = Duration::seconds(3);
-      spec.geo.window = Duration::seconds(12);
-      spec.geo.min_reports = 2;
-      spec.geo.promotion_threshold = Duration::seconds(20);
-      break;
-    case ProtocolKind::Dbft:
-      // Block pacing compressed below the fault horizon so several blocks
-      // (and the speaker rotation) happen while faults are live.
-      spec.dbft.delegates = options.committee;
-      spec.dbft.block_interval = Duration::seconds(5);
-      break;
-    case ProtocolKind::Pow:
-      // Faster blocks and a shallower depth keep confirmation latency well
-      // inside the liveness grace window.
-      spec.pow.block_interval = Duration::seconds(5);
-      spec.pow.confirmations = 2;
-      break;
+  if (protocol == ProtocolKind::Gpbft) {
+    // Candidates join mid-run: era switches promote them while faults are
+    // live.
+    spec.nodes = options.committee + options.candidates;
+    spec.committee.initial = options.committee;
+    spec.committee.min = std::min<std::size_t>(options.committee, 4);
+    spec.committee.max = spec.nodes;
   }
+  if (protocol == ProtocolKind::Dbft) spec.dbft.delegates = options.committee;
   return spec;
 }
 
-ChaosRunResult run_protocol_chaos(ProtocolKind protocol, const ChaosCampaignOptions& options,
-                                  const std::string& intensity, std::uint64_t run_index) {
-  const std::uint64_t seed = options.base_seed + run_index;
+/// One campaign run: `spec` through run_scenario with the monitor attached,
+/// even when no fault family is armed.
+ChaosRunResult campaign_run(const ScenarioSpec& spec, const std::string& intensity,
+                            std::uint64_t plan_seed, RunHooks hooks = {}) {
+  hooks.always_monitor = true;
+  const ScenarioRun run = run_scenario(spec, plan_seed, hooks);
   ChaosRunResult result;
-  result.protocol = protocol_name(protocol);
+  result.protocol = protocol_name(spec.protocol);
   result.intensity = intensity;
-  result.seed = seed;
-
-  const ScenarioSpec spec = chaos_scenario(protocol, options, seed);
-  const std::unique_ptr<Deployment> deployment = make_deployment(spec);
-
-  InvariantMonitor monitor(deployment->simulator());
-  deployment->watch(monitor);
-  if (protocol == ProtocolKind::Gpbft) {
-    // A flood can only show up as a rate anomaly once it spans the audit's
-    // lookback window; only seatings past that age count as violations.
-    monitor.set_sybil_detection_grace(spec.geo.window + spec.geo.report_period);
-    // Reputation campaigns also claim bounded committee churn: every honest
-    // application of an era's configuration must land within the bound of
-    // the first one (generous enough for a crash-held victim's resync).
-    if (options.reputation) monitor.set_era_convergence_bound(Duration::seconds(30));
-  }
-  deployment->start();
-  deployment->schedule_workload(
-      spec.workload, nullptr,
-      [&monitor](const ledger::Transaction& tx) { monitor.expect_submission(tx); });
-
-  ChaosProfile profile = profile_for(intensity);
-  profile.max_faulty = (options.committee - 1) / 3;
-  profile.restart_chance = options.restart_chance;
-  profile.disk_fault_chance = options.disk_fault_chance;
-  profile.sybil_burst_chance = options.sybil_burst_chance;
-  profile.targeted_crash_chance = options.targeted_crash_chance;
-  profile.oscillate_chance = options.oscillate_chance;
-  profile.tamper_chance = options.tamper_chance;
-  profile.tamper_template = options.tamper_template;
-  // Miners model no equivocation faults (there is no FaultMode to toggle);
-  // PoW runs get the profile's crash/partition/link/brownout families only.
-  if (protocol == ProtocolKind::Pow) {
-    profile.byzantine_chance = 0.0;
-    // PoW's wire carries no MACs and its client requests no signatures:
-    // tampering a request forges workload (a VALIDITY violation by
-    // construction), and replaying a mined one re-seeds the mempool. Spare
-    // the request plane; the proof/merkle checks cover the block plane.
-    profile.tamper_template.spare_types.push_back(pbft::msg_type::kClientRequest);
-    if (profile.tamper_template.mode == net::TamperRule::Mode::Inject) {
-      // A mutated block header can pass the proof check by sheer luck and
-      // would then be a *valid* sibling block — an outcome MAC-based tip
-      // identity cannot claim anything about. The Inject campaign spares
-      // the gossip plane; Replace storms still cover it (as loss).
-      profile.tamper_template.spare_types.push_back(pow::kPowBlock);
-    }
-  }
-  const FaultPlan plan = FaultPlan::random(
-      mix_seed(options.base_seed, run_index, std::string(protocol_name(protocol)) + "-" + intensity),
-      profile, deployment->fault_targets(), options.horizon);
-  FaultPlan::ChaosHandlers handlers;
-  handlers.set_byzantine = [&deployment, &monitor](NodeId id, pbft::FaultMode mode) {
-    deployment->set_fault_mode(id, mode);
-    // A Sybil report flood leaves the consensus plane honest: the node is
-    // still held to agreement, but marked for the no-Sybil-seated check.
-    monitor.set_faulty(id, mode != pbft::FaultMode::None &&
-                               mode != pbft::FaultMode::SybilGeoReports);
-    monitor.note_sybil(id, mode == pbft::FaultMode::SybilGeoReports);
-  };
-  handlers.resolve_target = [&deployment]() { return deployment->latest_elected(); };
-  handlers.oscillate = [&deployment](NodeId id, bool displaced) {
-    deployment->displace_node(id, displaced);
-  };
-  handlers.restart = [&deployment](NodeId id) { (void)deployment->restart_node(id); };
-  handlers.disk_fault = [&deployment](NodeId id, DiskFaultKind kind) {
-    deployment->inject_disk_fault(id, kind);
-  };
-  handlers.hook = [&monitor](const ChaosEvent& event) { monitor.note_fault(event.describe()); };
-  plan.schedule(deployment->simulator(), deployment->network(), handlers);
-
-  deployment->run_for(options.horizon);
-  const TimePoint healed = plan.all_healed_at();
-  const TimePoint deadline{std::max(options.horizon.ns, healed.ns) + options.liveness_grace.ns};
-  deployment->run_until_committed(options.txs_per_client, deadline);
-  // Restarted nodes may still be closing their resync gap when the last
-  // client transaction lands; give the final round-trips time to settle
-  // before holding them to the post-restart convergence bound.
-  if (monitor.restarts_observed() > 0) {
-    deployment->run_for(spec.engine.request_timeout * 3);
-  }
-  deployment->stop();
-  result.tip_hex = deployment->tip_hex();
-  deployment->finish_invariants(monitor);
-  monitor.check_restart_convergence();
-
-  result.expected = options.txs_per_client * options.clients;
-  result.committed = deployment->committed_count();
-  monitor.check_bounded_liveness(result.committed, result.expected, healed,
-                                 options.liveness_grace);
-  result.violations = monitor.violations();
-  result.blocks_checked = monitor.blocks_checked();
-  result.fault_events = plan.events().size();
-  result.restarts = monitor.restarts_observed();
+  result.seed = spec.seed;
+  result.committed = run.result.committed;
+  result.expected = run.result.expected;
+  result.fault_events = run.fault_events;
+  result.restarts = run.monitor->restarts_observed();
+  result.blocks_checked = run.monitor->blocks_checked();
+  result.violations = run.monitor->violations();
+  result.tip_hex = run.tip_hex;
   return result;
 }
 
@@ -763,35 +677,44 @@ std::string ChaosCampaignResult::summary() const {
   return out;
 }
 
-ChaosCampaignResult run_chaos_campaign(const ChaosCampaignOptions& options) {
+ChaosCampaignResult run_chaos_campaign(const ScenarioSpec& base,
+                                       const ChaosCampaignOptions& options) {
   ChaosCampaignResult result;
   for (const ProtocolKind protocol : options.protocols) {
     for (const std::string& intensity : options.intensities) {
+      const std::string label = std::string(protocol_name(protocol)) + "-" + intensity;
       for (std::uint64_t run = 0; run < options.seeds; ++run) {
-        result.runs.push_back(run_protocol_chaos(protocol, options, intensity, run));
+        result.runs.push_back(
+            campaign_run(campaign_run_spec(base, options, protocol, intensity, run), intensity,
+                         mix_seed(base.seed, run, label)));
       }
     }
   }
   return result;
 }
 
-ChaosCampaignResult run_tamper_campaign(const ChaosCampaignOptions& options) {
+ChaosCampaignResult run_tamper_campaign(const ScenarioSpec& base,
+                                        const ChaosCampaignOptions& options) {
   ChaosCampaignResult result;
-  ChaosCampaignOptions clean = options;
-  clean.tamper_chance = 0.0;
-  ChaosCampaignOptions tampered = options;
-  tampered.tamper_chance = options.tamper_chance > 0.0 ? options.tamper_chance : 0.75;
-  tampered.tamper_template.mode = net::TamperRule::Mode::Inject;
+  ScenarioSpec clean = base;
+  clean.chaos.tamper_chance = 0.0;
+  ScenarioSpec tampered = base;
+  tampered.chaos.tamper_mode = "inject";
   // Replays re-deliver *genuine* sealed messages; honest nodes answer them
   // (reply caches, sync responses), legitimately perturbing the clean
   // plane. REJECT-SAFE claims silence for forgeries only, so the Inject
-  // pair disables the replay family — Replace storms still exercise it.
-  tampered.tamper_template.replay = 0.0;
+  // pair disables the replay family; Replace storms still exercise it.
+  RunHooks no_replay;
+  no_replay.edit_profile = [](ChaosProfile& profile) { profile.tamper_template.replay = 0.0; };
   for (const ProtocolKind protocol : options.protocols) {
+    const std::string label = std::string(protocol_name(protocol)) + "-none";
     for (std::uint64_t run = 0; run < options.seeds; ++run) {
-      const ChaosRunResult clean_run = run_protocol_chaos(protocol, clean, "none", run);
-      ChaosRunResult tampered_run = run_protocol_chaos(protocol, tampered, "none", run);
-      tampered_run.intensity = "inject";
+      const std::uint64_t plan_seed = mix_seed(base.seed, run, label);
+      const ChaosRunResult clean_run = campaign_run(
+          campaign_run_spec(clean, options, protocol, "none", run), "none", plan_seed);
+      ChaosRunResult tampered_run =
+          campaign_run(campaign_run_spec(tampered, options, protocol, "none", run), "inject",
+                       plan_seed, no_replay);
       if (tampered_run.tip_hex != clean_run.tip_hex) {
         Violation violation;
         violation.kind = Violation::Kind::RejectSafe;

@@ -15,10 +15,13 @@
 // the paper's evaluation rests on (§IV: tolerance under node churn and
 // failures), turned into a repeatable harness.
 //
-// run_chaos_campaign drives N seeds x intensity levels x protocols
-// (PBFT / G-PBFT / dBFT / PoW, all behind the Deployment interface) with an
-// InvariantMonitor attached and renders a deterministic pass/fail report
-// (the CLI `chaos` subcommand is a thin wrapper over it). Each protocol is
+// A scenario's `chaos.*` keys describe its plan; run_scenario
+// (experiment.hpp) composes the ChaosProfile from them, schedules the plan
+// and arms the InvariantMonitor. run_chaos_campaign is a sweep over it:
+// N seeds x intensity levels x protocols (PBFT / G-PBFT / dBFT / PoW, all
+// behind the Deployment interface) from one base spec, rendered as a
+// deterministic pass/fail report (the CLI `chaos` subcommand is a thin
+// wrapper over it). Each protocol is
 // checked against the invariant subset that applies to it: the BFT
 // deployments hook every execution online; PoW has no execution hook and
 // instead replays every miner's confirmed prefix at run end — agreement is
@@ -114,9 +117,9 @@ struct ChaosProfile {
   double byzantine_chance{0.0};
   double link_fault_chance{0.2};
   double brownout_chance{0.15};
-  /// Durability faults; zero in the built-in profiles (campaigns opt in via
-  /// ChaosCampaignOptions). Their randomness draws from a stream forked off
-  /// the plan seed, so enabling them never perturbs the other families.
+  /// Durability faults; zero in the built-in profiles (a scenario opts in
+  /// via its chaos.* chances). Their randomness draws from a stream forked
+  /// off the plan seed, so enabling them never perturbs the other families.
   double restart_chance{0.0};
   double disk_fault_chance{0.0};
 
@@ -145,8 +148,8 @@ struct ChaosProfile {
   Duration max_reorder = Duration::millis(20);
   double max_brownout{6.0};
 
-  /// Concurrent crashed + Byzantine + partitioned-away budget (set to the
-  /// committee's f by campaigns).
+  /// Concurrent crashed + Byzantine + partitioned-away budget (run_scenario
+  /// sets it to f of the deployment's fault targets).
   std::size_t max_faulty{1};
 
   static ChaosProfile light();
@@ -214,9 +217,19 @@ class FaultPlan {
 /// opt-in family (tamper storms, REJECT-SAFE pairs) from node faults.
 [[nodiscard]] ChaosProfile profile_for(const std::string& intensity);
 
+/// The ScenarioSpec a chaos campaign starts from: two clients proposing
+/// six transactions every 4 s with retries on, PBFT timeouts below the
+/// 40 s fault horizon so view changes fire under faults, and each
+/// protocol's pacing compressed into the horizon (G-PBFT eras and geo
+/// promotion, dBFT and PoW block intervals, PoW confirmation depth).
+/// Callers edit the copy (seed, workload, spec.chaos chances, reputation);
+/// the campaign fills in protocol, seed, intensity and committee shape.
+[[nodiscard]] ScenarioSpec campaign_spec();
+
+/// A campaign's sweep axes and committee shape. Everything else a run
+/// deploys comes from the base spec the campaign is given.
 struct ChaosCampaignOptions {
   std::size_t seeds{10};
-  std::uint64_t base_seed{1};
   std::vector<std::string> intensities{"light", "medium", "heavy"};
   /// Protocols swept, in report order.
   std::vector<ProtocolKind> protocols{ProtocolKind::Pbft, ProtocolKind::Gpbft,
@@ -227,39 +240,6 @@ struct ChaosCampaignOptions {
   std::size_t committee{7};
   /// Extra G-PBFT candidate endorsers (era switches promote them mid-run).
   std::size_t candidates{2};
-  std::size_t clients{2};
-  std::uint64_t txs_per_client{6};
-  Duration tx_period = Duration::seconds(4);
-
-  /// Fault-injection window; the liveness deadline is horizon + grace.
-  Duration horizon = Duration::seconds(40);
-  Duration liveness_grace = Duration::seconds(300);
-
-  /// Durability chaos, applied on top of the intensity profile: per step,
-  /// the chance a node is crash–restarted from its simulated disk, and the
-  /// chance a random disk suffers a fault (torn write / bit rot / stale
-  /// snapshot). Zero keeps campaigns byte-identical to pre-durability runs.
-  double restart_chance{0.0};
-  double disk_fault_chance{0.0};
-
-  /// Election-attack chances (per step, own forked RNG stream; see
-  /// ChaosProfile). Meaningful for G-PBFT runs; the other protocols have no
-  /// election to attack, so the events degrade to plain faults or no-ops.
-  double sybil_burst_chance{0.0};
-  double targeted_crash_chance{0.0};
-  double oscillate_chance{0.0};
-
-  /// Wire-tamper chaos: per step, the chance a tamper window opens (the
-  /// in-flight adversary of `tamper_template` with a drawn mutation rate).
-  /// Campaigns spare PoW client requests automatically — nothing end-to-end
-  /// authenticates them, so tampering there forges workload, not wire noise.
-  double tamper_chance{0.0};
-  net::TamperRule tamper_template{};
-
-  /// Enables the reputation-weighted election (G-PBFT deployments): scores
-  /// shape the roster, quarantine demotes attackers, configuration blocks
-  /// carry the score snapshot.
-  bool reputation{false};
 };
 
 struct ChaosRunResult {
@@ -287,18 +267,23 @@ struct ChaosCampaignResult {
   [[nodiscard]] std::string summary() const;
 };
 
-[[nodiscard]] ChaosCampaignResult run_chaos_campaign(const ChaosCampaignOptions& options);
+/// Runs every protocol x intensity x seed through run_scenario with the
+/// monitor attached. Run i deploys `base` at seed base.seed + i, and its
+/// fault plan is seeded from (base.seed, i, protocol, intensity).
+[[nodiscard]] ChaosCampaignResult run_chaos_campaign(const ScenarioSpec& base,
+                                                     const ChaosCampaignOptions& options);
 
-/// The REJECT-SAFE campaign: for every protocol x seed it runs the scenario
-/// twice at the same seed — once clean, once with an Inject-mode tamper
-/// storm (man-on-the-side ghosts; replay disabled because replayed genuine
-/// messages legitimately elicit responses) — and requires the tampered
+/// The REJECT-SAFE campaign: for every protocol x seed it runs `base`
+/// twice at the same seed, once clean (tamper chance zero) and once under
+/// an Inject-mode storm whose windows open with base.chaos.tamper_chance
+/// (man-on-the-side ghosts; replay disabled because replayed genuine
+/// messages legitimately elicit responses), and requires the tampered
 /// run's chain tip to be byte-identical to the clean run's. With MACs on,
 /// every forged ghost must be rejected at the wire layer without perturbing
-/// the genuine plane; a tip mismatch records a RejectSafe violation. Runs
-/// with `options.intensities` ignored ("none" is used so node faults stay
-/// out of the picture); a non-positive options.tamper_chance defaults to
-/// windows opening on three quarters of the steps.
-[[nodiscard]] ChaosCampaignResult run_tamper_campaign(const ChaosCampaignOptions& options);
+/// the genuine plane; a tip mismatch records a RejectSafe violation.
+/// `options.intensities` is ignored ("none" is used so node faults stay out
+/// of the picture).
+[[nodiscard]] ChaosCampaignResult run_tamper_campaign(const ScenarioSpec& base,
+                                                      const ChaosCampaignOptions& options);
 
 }  // namespace gpbft::sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "pbft/messages.hpp"
+#include "sim/chaos.hpp"
 #include "sim/workload_plane.hpp"
 
 namespace gpbft::sim {
@@ -87,25 +88,138 @@ ScenarioSpec latency_scenario(ProtocolKind protocol, std::size_t nodes,
   return spec;
 }
 
+// --- one scenario -------------------------------------------------------------------
+
+ScenarioRun run_scenario(const ScenarioSpec& spec, std::uint64_t plan_seed,
+                         const RunHooks& hooks) {
+  ScenarioRun run;
+  run.deployment = make_deployment(spec);
+  Deployment& deployment = *run.deployment;
+  if (hooks.before_start) hooks.before_start(deployment);
+
+  const ChaosSpec& chaos = spec.chaos;
+  // Intensity "none" with a positive chance still runs a plan, one whose
+  // only families are the enabled ones.
+  const bool faults = chaos.intensity != "none" || chaos.restart_chance > 0.0 ||
+                      chaos.disk_fault_chance > 0.0 || chaos.sybil_burst_chance > 0.0 ||
+                      chaos.targeted_crash_chance > 0.0 || chaos.oscillate_chance > 0.0 ||
+                      chaos.tamper_chance > 0.0;
+  InvariantMonitor* monitor = nullptr;
+  FaultPlan plan;
+  if (faults || hooks.always_monitor) {
+    run.monitor = std::make_unique<InvariantMonitor>(deployment.simulator());
+    monitor = run.monitor.get();
+    deployment.watch(*monitor);
+    if (spec.protocol == ProtocolKind::Gpbft) {
+      // A flood can only show up as a rate anomaly once it spans the audit's
+      // lookback window; only seatings past that age count as violations.
+      monitor->set_sybil_detection_grace(spec.geo.window + spec.geo.report_period);
+      // The reputation-weighted election also claims bounded committee
+      // churn: every honest application of an era's configuration must land
+      // within the bound of the first one (generous enough for a crash-held
+      // victim's resync).
+      if (spec.reputation.enabled) monitor->set_era_convergence_bound(Duration::seconds(30));
+    }
+
+    ChaosProfile profile = profile_for(chaos.intensity);
+    profile.restart_chance = chaos.restart_chance;
+    profile.disk_fault_chance = chaos.disk_fault_chance;
+    profile.sybil_burst_chance = chaos.sybil_burst_chance;
+    profile.targeted_crash_chance = chaos.targeted_crash_chance;
+    profile.oscillate_chance = chaos.oscillate_chance;
+    profile.tamper_chance = chaos.tamper_chance;
+    profile.tamper_template.mode = chaos.tamper_mode == "inject" ? net::TamperRule::Mode::Inject
+                                                                 : net::TamperRule::Mode::Replace;
+    const std::vector<NodeId> victims = deployment.fault_targets();
+    profile.max_faulty = victims.empty() ? 0 : (victims.size() - 1) / 3;
+    // Miners model no equivocation faults (there is no FaultMode to toggle);
+    // PoW runs get the crash/partition/link/brownout families only.
+    if (spec.protocol == ProtocolKind::Pow) {
+      profile.byzantine_chance = 0.0;
+      // PoW's wire carries no MACs and its client requests no signatures:
+      // tampering a request forges workload (a VALIDITY violation by
+      // construction), and replaying a mined one re-seeds the mempool. Spare
+      // the request plane; the proof/merkle checks cover the block plane.
+      profile.tamper_template.spare_types.push_back(pbft::msg_type::kClientRequest);
+      if (profile.tamper_template.mode == net::TamperRule::Mode::Inject) {
+        // A mutated block header can pass the proof check by sheer luck and
+        // would then be a *valid* sibling block, an outcome MAC-based tip
+        // identity cannot claim anything about. Inject storms spare the
+        // gossip plane; Replace storms still cover it (as loss).
+        profile.tamper_template.spare_types.push_back(pow::kPowBlock);
+      }
+    }
+    if (hooks.edit_profile) hooks.edit_profile(profile);
+    plan = FaultPlan::random(plan_seed, profile, victims, chaos.horizon);
+
+    FaultPlan::ChaosHandlers handlers;
+    handlers.set_byzantine = [&deployment, monitor](NodeId id, pbft::FaultMode mode) {
+      deployment.set_fault_mode(id, mode);
+      // A Sybil report flood leaves the consensus plane honest: the node is
+      // still held to agreement, but marked for the no-Sybil-seated check.
+      monitor->set_faulty(id, mode != pbft::FaultMode::None &&
+                                  mode != pbft::FaultMode::SybilGeoReports);
+      monitor->note_sybil(id, mode == pbft::FaultMode::SybilGeoReports);
+    };
+    handlers.resolve_target = [&deployment]() { return deployment.latest_elected(); };
+    handlers.oscillate = [&deployment](NodeId id, bool displaced) {
+      deployment.displace_node(id, displaced);
+    };
+    handlers.restart = [&deployment](NodeId id) { (void)deployment.restart_node(id); };
+    handlers.disk_fault = [&deployment](NodeId id, DiskFaultKind kind) {
+      deployment.inject_disk_fault(id, kind);
+    };
+    handlers.hook = [monitor](const ChaosEvent& event) { monitor->note_fault(event.describe()); };
+    plan.schedule(deployment.simulator(), deployment.network(), handlers);
+  }
+
+  deployment.start();
+  LatencyRecorder recorder;
+  Deployment::SubmitHook on_submit;
+  if (monitor != nullptr) {
+    on_submit = [monitor](const ledger::Transaction& tx) { monitor->expect_submission(tx); };
+  }
+  deployment.schedule_workload(spec.workload, &recorder, on_submit);
+
+  TimePoint deadline{spec.deadline.ns};
+  const TimePoint healed = plan.all_healed_at();
+  if (monitor != nullptr) {
+    deployment.run_for(chaos.horizon);
+    deadline = TimePoint{std::max(chaos.horizon.ns, healed.ns) + chaos.liveness_grace.ns};
+  }
+  deployment.run_until_committed(spec.workload.txs_per_client, deadline);
+  // Restarted nodes may still be closing their resync gap when the last
+  // client transaction lands; give the final round-trips time to settle
+  // before holding them to the post-restart convergence bound.
+  if (monitor != nullptr && monitor->restarts_observed() > 0) {
+    deployment.run_for(spec.engine.request_timeout * 3);
+  }
+  deployment.stop();
+  run.tip_hex = deployment.tip_hex();
+  run.fault_events = plan.events().size();
+
+  // Open-loop plane: expect what the arrival process actually generated,
+  // not a per-client quota.
+  const std::uint64_t expected = deployment.plane() != nullptr
+                                     ? deployment.plane()->submitted()
+                                     : spec.workload.txs_per_client * spec.clients;
+  // Invariant verdicts land in the registry and trace, so the end-of-run
+  // checks run before finish_result finalizes the telemetry.
+  if (monitor != nullptr) {
+    deployment.finish_invariants(*monitor);
+    monitor->check_restart_convergence();
+    monitor->check_bounded_liveness(deployment.committed_count(), expected, healed,
+                                    chaos.liveness_grace);
+  }
+  run.result = finish_result(deployment, spec.nodes, recorder, expected);
+  return run;
+}
+
 // --- latency experiments ------------------------------------------------------------
 
 ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes, const ScenarioSpec& base) {
   const ScenarioSpec spec = latency_scenario(protocol, nodes, base);
-  const std::unique_ptr<Deployment> deployment = make_deployment(spec);
-  deployment->start();
-
-  LatencyRecorder recorder;
-  deployment->schedule_workload(spec.workload, &recorder);
-
-  const TimePoint deadline{spec.deadline.ns};
-  deployment->run_until_committed(spec.workload.txs_per_client, deadline);
-  // Open-loop plane: expect what the arrival process actually generated,
-  // not a per-client quota.
-  const std::uint64_t expected = deployment->plane() != nullptr
-                                     ? deployment->plane()->submitted()
-                                     : spec.workload.txs_per_client * nodes;
-  deployment->stop();
-  return finish_result(*deployment, nodes, recorder, expected);
+  return run_scenario(spec, spec.seed).result;
 }
 
 // --- communication-cost experiments ---------------------------------------------------

@@ -1,8 +1,10 @@
 // Experiment runners for the paper's evaluation section.
 //
-// Each runner builds a fresh, seeded deployment from a declarative
-// ScenarioSpec (see scenario.hpp / deployment.hpp), drives the paper's
-// workload and returns the measured quantities:
+// run_scenario is the one way to run a ScenarioSpec: it builds the
+// deployment, arms the fault plan and invariant monitor spec.chaos asks
+// for, drives the workload and returns the measured quantities. The
+// latency runner, the CLI's run/report/profile and the chaos campaigns
+// (chaos.hpp) all go through it:
 //
 //   * latency experiments (Figs. 3a/3b/4, Tables III-IV): every node
 //     proposes transactions at a constant frequency; per-transaction
@@ -17,9 +19,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 
 #include "net/network.hpp"
 #include "sim/deployment.hpp"
+#include "sim/invariants.hpp"
 #include "sim/metrics.hpp"
 #include "sim/workload.hpp"
 
@@ -78,10 +83,48 @@ struct ExperimentResult {
 [[nodiscard]] ScenarioSpec latency_scenario(ProtocolKind protocol, std::size_t nodes,
                                             const ScenarioSpec& base);
 
+// --- one scenario -------------------------------------------------------------------
+
+struct ChaosProfile;
+
+/// What run_scenario takes besides the spec: per-call choices of a caller,
+/// never part of the deployment description.
+struct RunHooks {
+  /// Monitor the run and drive the fault horizon even when spec.chaos arms
+  /// no fault family (campaigns hold clean runs to the faulted timeline).
+  bool always_monitor{false};
+  /// Last edit to the composed ChaosProfile before the plan is drawn.
+  std::function<void(ChaosProfile&)> edit_profile;
+  /// Runs on the built deployment before start() (tracing switch-on).
+  std::function<void(Deployment&)> before_start;
+};
+
+/// A finished scenario: the stopped deployment (telemetry finalized, for
+/// exports), its result, node 0's chain tip, and, when a plan was armed,
+/// the monitor holding the invariant verdict.
+struct ScenarioRun {
+  std::unique_ptr<Deployment> deployment;
+  std::unique_ptr<InvariantMonitor> monitor;  // null when no plan was armed
+  ExperimentResult result;
+  std::string tip_hex;
+  std::size_t fault_events{0};
+};
+
+/// Runs `spec` once. When spec.chaos arms a fault family (an intensity
+/// other than "none", or any chaos chance above zero) or the hooks ask for
+/// it, the monitor is attached and a FaultPlan seeded with `plan_seed` is
+/// drawn from the ChaosProfile spec.chaos describes, with a budget of f
+/// among the fault targets. Faults run over chaos.horizon, and the workload
+/// gets chaos.liveness_grace past the last heal. Otherwise the workload
+/// runs until committed or spec.deadline. Invariant checks finish before
+/// the telemetry is finalized.
+[[nodiscard]] ScenarioRun run_scenario(const ScenarioSpec& spec, std::uint64_t plan_seed,
+                                       const RunHooks& hooks = {});
+
 // --- latency (Figs. 3a, 3b, 4; Tables III-IV) ---------------------------------------
 
-/// Runs the constant-frequency workload against the protocol's deployment
-/// and measures per-transaction consensus latency. dBFT seats
+/// Runs latency_scenario(protocol, nodes, base) through run_scenario: the
+/// constant-frequency workload, measuring per-transaction consensus latency. dBFT seats
 /// min(nodes, dbft.delegates) genesis delegates with NEO-style pacing; PoW
 /// counts a transaction once it reaches pow.confirmations depth on any
 /// miner's best chain, and hashes_computed reports total mining work.

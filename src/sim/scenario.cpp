@@ -442,17 +442,17 @@ const std::vector<Field>& field_table() {
     f.push_back(duration_field("chaos.liveness_grace_ns", &ScenarioSpec::chaos,
                                &ChaosSpec::liveness_grace));
     f.push_back(double_field("chaos.restart_chance", &ScenarioSpec::chaos,
-                             &ChaosSpec::restart_chance));
+                             &ChaosSpec::restart_chance, probability, "in [0, 1]"));
     f.push_back(double_field("chaos.disk_fault_chance", &ScenarioSpec::chaos,
-                             &ChaosSpec::disk_fault_chance));
+                             &ChaosSpec::disk_fault_chance, probability, "in [0, 1]"));
     f.push_back(double_field("chaos.sybil_burst_chance", &ScenarioSpec::chaos,
-                             &ChaosSpec::sybil_burst_chance));
+                             &ChaosSpec::sybil_burst_chance, probability, "in [0, 1]"));
     f.push_back(double_field("chaos.targeted_crash_chance", &ScenarioSpec::chaos,
-                             &ChaosSpec::targeted_crash_chance));
+                             &ChaosSpec::targeted_crash_chance, probability, "in [0, 1]"));
     f.push_back(double_field("chaos.oscillate_chance", &ScenarioSpec::chaos,
-                             &ChaosSpec::oscillate_chance));
+                             &ChaosSpec::oscillate_chance, probability, "in [0, 1]"));
     f.push_back(double_field("chaos.tamper_chance", &ScenarioSpec::chaos,
-                             &ChaosSpec::tamper_chance));
+                             &ChaosSpec::tamper_chance, probability, "in [0, 1]"));
     f.push_back({"chaos.tamper_mode",
                  [](const ScenarioSpec& s) { return s.chaos.tamper_mode; },
                  [](ScenarioSpec& s, const std::string& v) -> Result<void> {

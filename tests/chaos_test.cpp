@@ -223,8 +223,8 @@ TEST(ChaosCampaign, SummaryIsByteIdenticalAcrossRuns) {
   ChaosCampaignOptions options;
   options.seeds = 2;
   options.intensities = {"medium"};
-  const ChaosCampaignResult first = run_chaos_campaign(options);
-  const ChaosCampaignResult second = run_chaos_campaign(options);
+  const ChaosCampaignResult first = run_chaos_campaign(campaign_spec(), options);
+  const ChaosCampaignResult second = run_chaos_campaign(campaign_spec(), options);
   EXPECT_EQ(first.summary(), second.summary());
   EXPECT_EQ(first.failed_runs(), 0u);
   ASSERT_EQ(first.runs.size(), 8u);  // 2 seeds x {pbft, gpbft, dbft, pow}
@@ -239,13 +239,14 @@ TEST(ChaosCampaign, RestartAndDiskFaultSweepIsGreenAndDeterministic) {
   // The headline durability claim: a campaign that crash–restarts nodes from
   // their simulated disks and corrupts those disks mid-run stays green across
   // every protocol stack, and reruns byte-identically under the same seeds.
+  ScenarioSpec base = campaign_spec();
+  base.chaos.restart_chance = 0.25;
+  base.chaos.disk_fault_chance = 0.2;
   ChaosCampaignOptions options;
   options.seeds = 2;
   options.intensities = {"medium"};
-  options.restart_chance = 0.25;
-  options.disk_fault_chance = 0.2;
-  const ChaosCampaignResult first = run_chaos_campaign(options);
-  const ChaosCampaignResult second = run_chaos_campaign(options);
+  const ChaosCampaignResult first = run_chaos_campaign(base, options);
+  const ChaosCampaignResult second = run_chaos_campaign(base, options);
   EXPECT_EQ(first.summary(), second.summary());
   EXPECT_EQ(first.failed_runs(), 0u);
   ASSERT_EQ(first.runs.size(), 8u);  // 2 seeds x {pbft, gpbft, dbft, pow}
@@ -264,7 +265,7 @@ TEST(ChaosCampaign, SingleProtocolSelection) {
   options.seeds = 1;
   options.intensities = {"light"};
   options.protocols = {ProtocolKind::Dbft, ProtocolKind::Pow};
-  const ChaosCampaignResult result = run_chaos_campaign(options);
+  const ChaosCampaignResult result = run_chaos_campaign(campaign_spec(), options);
   ASSERT_EQ(result.runs.size(), 2u);
   EXPECT_EQ(result.runs[0].protocol, "dbft");
   EXPECT_EQ(result.runs[1].protocol, "pow");

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Byte-compares the CLI experiment paths (`latency`, `cost`, `sweep`) against
-# a checked-in golden, and checks that out-of-range flag values are refused
-# with exit status 2 before anything runs.
+# a checked-in golden, and checks that out-of-range flag values, and flags
+# the chosen command does not read, are refused with exit status 2 before
+# anything runs.
 #
 # usage: tests/cli_golden.sh <gpbft_cli> <golden.csv>
 set -euo pipefail
@@ -27,6 +28,24 @@ for bad in "--rate 0" "--rate -5" "--rate nan" "--txs abc" "--txs 2x" "--max-com
   "${CLI}" latency --protocol gpbft --nodes 6 ${bad} >/dev/null 2>&1 || status=$?
   if [[ "${status}" -ne 2 ]]; then
     echo "cli_golden: 'latency ${bad}' exited ${status}, expected 2" >&2
+    exit 1
+  fi
+done
+
+# A flag the chosen command never reads is refused the same way, as is a
+# chaos chance outside [0, 1].
+SCENARIO="$(dirname "$0")/../scenarios/telemetry_smoke.scenario"
+for bad in "run --scenario ${SCENARIO} --txs 1" "chaos --seeds 1 --rate 5" \
+           "chaos --seeds 1 --period 1" "chaos --seeds 1 --batch 2" \
+           "chaos --seeds 1 --era-period 3" "chaos --seeds 1 --nodes 4,10" \
+           "latency --nodes 6 --restarts 0.5" "latency --nodes 6 --tamper" \
+           "latency --nodes 6 --seeds 3" "chaos --seeds 1 --restarts 2" \
+           "chaos --seeds 1 --tamper-chance nan"; do
+  status=0
+  # shellcheck disable=SC2086
+  "${CLI}" ${bad} >/dev/null 2>&1 || status=$?
+  if [[ "${status}" -ne 2 ]]; then
+    echo "cli_golden: '${bad}' exited ${status}, expected 2" >&2
     exit 1
   fi
 done

@@ -46,6 +46,17 @@ ScenarioSpec attack_spec(std::uint64_t seed, bool reputation) {
   return spec;
 }
 
+/// The attack pack on campaign_spec(): Sybil floods, targeted crashes and
+/// mobility oscillation, against the reputation-weighted election.
+ScenarioSpec attack_base() {
+  ScenarioSpec base = campaign_spec();
+  base.chaos.sybil_burst_chance = 0.25;
+  base.chaos.targeted_crash_chance = 0.2;
+  base.chaos.oscillate_chance = 0.25;
+  base.reputation.enabled = true;
+  return base;
+}
+
 ChaosCampaignOptions attack_campaign(std::size_t seeds) {
   ChaosCampaignOptions options;
   options.seeds = seeds;
@@ -53,10 +64,6 @@ ChaosCampaignOptions attack_campaign(std::size_t seeds) {
   options.protocols = {ProtocolKind::Gpbft};
   options.committee = 7;
   options.candidates = 2;
-  options.sybil_burst_chance = 0.25;
-  options.targeted_crash_chance = 0.2;
-  options.oscillate_chance = 0.25;
-  options.reputation = true;
   return options;
 }
 
@@ -68,7 +75,7 @@ TEST(ElectionAttack, ReputationCampaignSeatsNoAttackerAcrossTwentySeeds) {
   // armed inside run_chaos_campaign, so zero failed runs means no election
   // ever seated an active flooder or a quarantined device, and every
   // workload recovered within the liveness grace.
-  const ChaosCampaignResult result = run_chaos_campaign(attack_campaign(20));
+  const ChaosCampaignResult result = run_chaos_campaign(attack_base(), attack_campaign(20));
   ASSERT_EQ(result.runs.size(), 20u);
   EXPECT_EQ(result.failed_runs(), 0u) << result.summary();
   for (const ChaosRunResult& run : result.runs) {
@@ -164,8 +171,8 @@ TEST(ElectionAttack, AttackCampaignsAreSeedDeterministic) {
   // byte-identical, which pins every committed count, fault-event count and
   // violation line across the attack families' forked RNG streams.
   const ChaosCampaignOptions options = attack_campaign(3);
-  const std::string first = run_chaos_campaign(options).summary();
-  const std::string second = run_chaos_campaign(options).summary();
+  const std::string first = run_chaos_campaign(attack_base(), options).summary();
+  const std::string second = run_chaos_campaign(attack_base(), options).summary();
   EXPECT_EQ(first, second);
 }
 
@@ -173,13 +180,14 @@ TEST(ElectionAttack, ZeroChancePlansMatchPreAttackPlans) {
   // The election-attack families draw from their own forked RNG stream:
   // with all three chances at zero the generated fault plan — and hence the
   // whole run — is byte-identical to a pre-attack-pack campaign.
-  ChaosCampaignOptions base = attack_campaign(3);
-  base.sybil_burst_chance = 0.0;
-  base.targeted_crash_chance = 0.0;
-  base.oscillate_chance = 0.0;
-  base.reputation = false;
-  ChaosCampaignOptions again = base;
-  EXPECT_EQ(run_chaos_campaign(base).summary(), run_chaos_campaign(again).summary());
+  ScenarioSpec base = attack_base();
+  base.chaos.sybil_burst_chance = 0.0;
+  base.chaos.targeted_crash_chance = 0.0;
+  base.chaos.oscillate_chance = 0.0;
+  base.reputation.enabled = false;
+  const ChaosCampaignOptions options = attack_campaign(3);
+  EXPECT_EQ(run_chaos_campaign(base, options).summary(),
+            run_chaos_campaign(campaign_spec(), options).summary());
 }
 
 }  // namespace

@@ -121,6 +121,14 @@ TEST(Scenario, StrictParseRejectsGarbage) {
   EXPECT_FALSE(parse_scenario("net.drop_rate=-0.1\n").ok());
   EXPECT_FALSE(parse_scenario("net.drop_rate=nan\n").ok());
   EXPECT_FALSE(parse_scenario("committee.max=0\n").ok());
+  // A chaos chance is a per-step probability; NaN used to mean "no chaos".
+  for (const char* key : {"restart_chance", "disk_fault_chance", "sybil_burst_chance",
+                          "targeted_crash_chance", "oscillate_chance", "tamper_chance"}) {
+    for (const char* chance : {"2", "inf", "nan", "-1"}) {
+      EXPECT_FALSE(parse_scenario(std::string("chaos.") + key + "=" + chance).ok())
+          << key << "=" << chance;
+    }
+  }
   // Malformed admittance lists.
   for (const char* list : {"5,,6", "0", "5x", ",5", "5,", "-5"}) {
     EXPECT_FALSE(parse_scenario(std::string("committee.blacklist=") + list).ok()) << list;

@@ -27,20 +27,24 @@ namespace {
 ChaosCampaignOptions quick_options() {
   ChaosCampaignOptions options;
   options.seeds = 2;
-  options.base_seed = 1;
   options.committee = 7;
   options.candidates = 2;
-  options.clients = 2;
-  options.txs_per_client = 6;
   return options;
+}
+
+/// campaign_spec() with tamper windows opening at `chance` per step, in
+/// Replace (MITM) mode unless the campaign picks its own.
+ScenarioSpec storm(double chance) {
+  ScenarioSpec base = campaign_spec();
+  base.chaos.tamper_chance = chance;
+  base.chaos.tamper_mode = "replace";
+  return base;
 }
 
 TEST(TamperChaos, ReplaceStormAllProtocolsNoViolations) {
   ChaosCampaignOptions options = quick_options();
   options.intensities = {"none"};  // isolate the wire adversary
-  options.tamper_chance = 0.75;
-  options.tamper_template.mode = net::TamperRule::Mode::Replace;
-  const ChaosCampaignResult result = run_chaos_campaign(options);
+  const ChaosCampaignResult result = run_chaos_campaign(storm(0.75), options);
 
   ASSERT_EQ(result.runs.size(), 8u);  // 4 protocols x 2 seeds
   for (const auto& run : result.runs) {
@@ -58,9 +62,7 @@ TEST(TamperChaos, ReplaceStormOnTopOfNodeFaults) {
   ChaosCampaignOptions options = quick_options();
   options.seeds = 1;
   options.intensities = {"light"};
-  options.tamper_chance = 0.5;
-  options.tamper_template.mode = net::TamperRule::Mode::Replace;
-  const ChaosCampaignResult result = run_chaos_campaign(options);
+  const ChaosCampaignResult result = run_chaos_campaign(storm(0.5), options);
 
   ASSERT_EQ(result.runs.size(), 4u);
   for (const auto& run : result.runs) {
@@ -69,8 +71,7 @@ TEST(TamperChaos, ReplaceStormOnTopOfNodeFaults) {
 }
 
 TEST(TamperChaos, RejectSafeTipIdentityAcrossProtocols) {
-  ChaosCampaignOptions options = quick_options();
-  const ChaosCampaignResult result = run_tamper_campaign(options);
+  const ChaosCampaignResult result = run_tamper_campaign(storm(0.75), quick_options());
 
   ASSERT_EQ(result.runs.size(), 8u);
   for (const auto& run : result.runs) {
@@ -86,8 +87,8 @@ TEST(TamperChaos, RejectSafeTipIdentityAcrossProtocols) {
 TEST(TamperChaos, CampaignsAreDeterministic) {
   ChaosCampaignOptions options = quick_options();
   options.seeds = 1;
-  const ChaosCampaignResult first = run_tamper_campaign(options);
-  const ChaosCampaignResult second = run_tamper_campaign(options);
+  const ChaosCampaignResult first = run_tamper_campaign(storm(0.75), options);
+  const ChaosCampaignResult second = run_tamper_campaign(storm(0.75), options);
   ASSERT_EQ(first.runs.size(), second.runs.size());
   for (std::size_t i = 0; i < first.runs.size(); ++i) {
     EXPECT_EQ(first.runs[i].tip_hex, second.runs[i].tip_hex);

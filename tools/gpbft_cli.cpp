@@ -19,9 +19,9 @@
 //            a deterministic pass/fail report and exits non-zero on any
 //            violation
 //   run      one deployment described by a declarative scenario file
-//            (key=value; see sim/scenario.hpp). When the scenario's chaos
-//            intensity is not "none", a seeded fault plan is injected and
-//            the invariant report printed (non-zero exit on violations).
+//            (key=value; see sim/scenario.hpp), run by sim::run_scenario.
+//            When its chaos.* keys arm a fault plan, the invariant report
+//            is printed (non-zero exit on violations).
 //            --metrics-out writes the telemetry registry as JSONL;
 //            --trace-out enables causal tracing and writes a Chrome/
 //            Perfetto trace.json (both byte-identical for identical seeds).
@@ -38,7 +38,7 @@
 //            steady clock: the run's chain tip, metrics and trace exports
 //            are byte-identical to an unprofiled same-seed run.
 //
-// Common options (defaults = the calibrated values of DESIGN.md §4):
+// latency/cost/sweep options (defaults = the calibrated values of DESIGN.md §4):
 //   --protocol pbft|gpbft|dbft|pow   --nodes N[,N...]   --seed S
 //   --txs K          transactions per client        (12)
 //   --period SEC     proposal period per client     (5)
@@ -52,7 +52,8 @@
 //   --csv            machine-readable output
 // Numeric values are parsed as strictly as a scenario file: junk, trailing
 // characters and out-of-range values (a zero or non-finite --rate, a zero
-// --max-committee) exit 2 before anything runs.
+// --max-committee) exit 2 before anything runs, as does a flag the command
+// does not read (kCommandFlags).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -61,13 +62,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/critical_path.hpp"
 #include "obs/profiler.hpp"
 #include "sim/chaos.hpp"
 #include "sim/experiment.hpp"
-#include "sim/workload_plane.hpp"
 
 namespace {
 
@@ -79,40 +81,41 @@ struct CliOptions {
   std::vector<std::size_t> nodes = {40};
   std::size_t runs = 1;
   bool csv = false;
-  sim::ScenarioSpec spec = sim::default_spec();
+  /// latency/cost/sweep: default_spec(); chaos: the campaign's base spec,
+  /// campaign_spec(). Flags that name a scenario key edit it.
+  sim::ScenarioSpec spec;
   std::string intensity = "all";  // chaos: light|medium|heavy|all
   std::size_t seeds = 10;         // chaos: seeds per (protocol, intensity)
-  double restart_chance = 0.0;    // chaos: crash-restart-from-disk chance per step
-  double disk_fault_chance = 0.0; // chaos: disk corruption chance per step
   bool attack_election = false;   // chaos: election-attack pack (G-PBFT)
   bool stock_election = false;    // chaos: keep the stock geo-timer election
   bool tamper = false;            // chaos: wire-tamper storm (Replace-mode adversary)
   bool reject_safe = false;       // chaos: REJECT-SAFE clean/Inject tip-identity pairs
-  double tamper_chance = 0.0;     // chaos: tamper-window chance per step (0 = default)
   std::string scenario_path;      // run: scenario file
   std::string trace_out;          // run/report: Perfetto trace destination
   std::string metrics_out;        // run/report: metrics JSONL destination
   std::string profile_out;        // profile: probe call tree JSON
   std::string collapsed_out;      // profile: collapsed-stack flamegraph input
-  std::size_t top = 15;           // profile/report: hotspot table rows
+  std::size_t top = 15;           // profile: hotspot table rows
   bool protocol_set = false;      // chaos/run defaults when unset
   bool seed_set = false;          // run keeps the file's seed when unset
-  bool txs_set = false;           // chaos keeps its own default when unset
+  std::vector<std::string> flags;  // every flag given, for the per-command check
 };
 
 void print_usage() {
   std::fprintf(stderr,
                "usage: gpbft_cli <latency|cost|sweep|chaos|run|report|profile> [options]\n"
+               "(a flag the command does not read exits 2)\n"
+               "latency/cost/sweep options:\n"
                "  --protocol pbft|gpbft|dbft|pow   consensus to run (default gpbft)\n"
                "  --nodes N[,N...]                 network sizes (default 40)\n"
-               "  --seed S --txs K --period SEC --rate S --batch B\n"
-               "  --batch-close N --batch-timeout SEC\n"
-               "  --max-committee C --era-period SEC --runs R --csv\n"
+               "  --seed S --rate S --batch B --batch-close N --batch-timeout SEC\n"
+               "  --max-committee C --era-period SEC --csv\n"
+               "  --txs K --period SEC             latency/sweep   --runs R   sweep\n"
                "chaos options:\n"
                "  --protocol pbft|gpbft|dbft|pow|all  protocols to torture (default all)\n"
                "  --seeds N                        seeds per protocol x intensity (default 10)\n"
-               "  --intensity light|medium|heavy|all  fault intensity (default all)\n"
-               "  --nodes N                        committee size (default 7)\n"
+               "  --intensity none|light|medium|heavy|all  fault intensity (default all)\n"
+               "  --nodes N                        committee size (default 40)\n"
                "  --restarts P                     crash-restart-from-disk chance per step\n"
                "  --disk-faults P                  disk corruption chance per step\n"
                "  --attack-election                election-attack pack (Sybil floods, targeted\n"
@@ -134,6 +137,7 @@ void print_usage() {
                "  --protocol P --seed S            override the file's values\n"
                "  --trace-out FILE                 enable tracing, write Perfetto trace.json\n"
                "  --metrics-out FILE               write the metrics registry as JSONL\n"
+               "  --csv                            machine-readable result line\n"
                "profile options:\n"
                "  --profile-out FILE               write the probe call tree as JSON\n"
                "  --collapsed-out FILE             write collapsed stacks (flamegraph input)\n"
@@ -144,13 +148,6 @@ bool parse_count(const std::string& value, std::size_t& out) {
   const auto parsed = sim::parse_unsigned(value);
   if (!parsed || parsed.value() == 0) return false;
   out = static_cast<std::size_t>(parsed.value());
-  return true;
-}
-
-bool parse_chance(const std::string& value, double& out) {
-  const auto parsed = sim::parse_number(value);
-  if (!parsed || !(parsed.value() >= 0.0 && parsed.value() <= 1.0)) return false;
-  out = parsed.value();
   return true;
 }
 
@@ -181,17 +178,40 @@ bool set_key(sim::ScenarioSpec& spec, const char* key, const std::string& value)
   return set.ok();
 }
 
+/// The flags each command reads. A command given any other flag exits 2
+/// before anything runs rather than silently ignoring it.
+constexpr std::string_view kScenarioFlags =
+    " --protocol --seed --csv --scenario --trace-out --metrics-out ";
+constexpr std::pair<std::string_view, std::string_view> kCommandFlags[] = {
+    {"latency", " --protocol --nodes --seed --txs --period --rate --batch --batch-close"
+                " --batch-timeout --max-committee --era-period --csv "},
+    {"cost", " --protocol --nodes --seed --rate --batch --batch-close --batch-timeout"
+             " --max-committee --era-period --csv "},
+    {"sweep", " --protocol --nodes --seed --txs --period --rate --batch --batch-close"
+              " --batch-timeout --max-committee --era-period --csv --runs "},
+    {"chaos", " --protocol --nodes --seed --txs --seeds --intensity --restarts --disk-faults"
+              " --attack-election --stock-election --tamper --tamper-chance --reject-safe "},
+    {"run", kScenarioFlags},
+    {"report", kScenarioFlags},
+    {"profile", " --protocol --seed --csv --scenario --trace-out --metrics-out --profile-out"
+                " --collapsed-out --top "},
+};
+
+bool given(const CliOptions& options, const char* flag) {
+  return std::find(options.flags.begin(), options.flags.end(), flag) != options.flags.end();
+}
+
 bool parse_args(int argc, char** argv, CliOptions& options) {
   if (argc < 2) return false;
   options.command = argv[1];
-  if (options.command != "latency" && options.command != "cost" && options.command != "sweep" &&
-      options.command != "chaos" && options.command != "run" && options.command != "report" &&
-      options.command != "profile") {
-    return false;
-  }
+  const auto command = std::find_if(std::begin(kCommandFlags), std::end(kCommandFlags),
+                                    [&](const auto& entry) { return entry.first == argv[1]; });
+  if (command == std::end(kCommandFlags)) return false;
+  options.spec = options.command == "chaos" ? sim::campaign_spec() : sim::default_spec();
 
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
+    options.flags.push_back(flag);
     if (flag == "--csv") {
       options.csv = true;
       continue;
@@ -224,7 +244,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.seed_set = true;
     } else if (flag == "--txs") {
       if (!set_key(options.spec, "workload.txs_per_client", value)) return false;
-      options.txs_set = true;
     } else if (flag == "--period") {
       if (!parse_seconds(value, options.spec.workload.period)) return false;
     } else if (flag == "--rate") {
@@ -249,11 +268,11 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
     } else if (flag == "--intensity") {
       options.intensity = value;
     } else if (flag == "--restarts") {
-      if (!parse_chance(value, options.restart_chance)) return false;
+      if (!set_key(options.spec, "chaos.restart_chance", value)) return false;
     } else if (flag == "--disk-faults") {
-      if (!parse_chance(value, options.disk_fault_chance)) return false;
+      if (!set_key(options.spec, "chaos.disk_fault_chance", value)) return false;
     } else if (flag == "--tamper-chance") {
-      if (!parse_chance(value, options.tamper_chance)) return false;
+      if (!set_key(options.spec, "chaos.tamper_chance", value)) return false;
     } else if (flag == "--scenario") {
       options.scenario_path = value;
     } else if (flag == "--trace-out") {
@@ -271,7 +290,26 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       return false;
     }
   }
+  for (const std::string& flag : options.flags) {
+    if (command->second.find(" " + flag + " ") == std::string_view::npos) {
+      std::fprintf(stderr, "%s: %s does not apply\n", options.command.c_str(), flag.c_str());
+      return false;
+    }
+  }
   if (options.command == "chaos") {
+    if (options.nodes.size() != 1) {
+      std::fprintf(stderr, "chaos: --nodes takes one committee size\n");
+      return false;
+    }
+    if (options.stock_election && !options.attack_election) {
+      std::fprintf(stderr, "chaos: --stock-election applies only with --attack-election\n");
+      return false;
+    }
+    // REJECT-SAFE pairs run at intensity "none" with their own Inject storm.
+    if (options.reject_safe && (options.tamper || given(options, "--intensity"))) {
+      std::fprintf(stderr, "chaos: --tamper and --intensity do not apply with --reject-safe\n");
+      return false;
+    }
     if (!options.protocol_set) options.protocol = "all";
     if (options.protocol != "all" && !sim::protocol_from_name(options.protocol).ok()) {
       return false;
@@ -293,44 +331,37 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
 }
 
 int run_chaos(const CliOptions& options) {
+  sim::ScenarioSpec base = options.spec;
   sim::ChaosCampaignOptions campaign;
   campaign.seeds = options.seeds;
-  campaign.base_seed = options.spec.seed;
-  campaign.committee = options.nodes.empty() ? 7 : options.nodes.front();
-  campaign.restart_chance = options.restart_chance;
-  campaign.disk_fault_chance = options.disk_fault_chance;
-  if (options.txs_set) campaign.txs_per_client = options.spec.workload.txs_per_client;
+  campaign.committee = options.nodes.front();
   if (options.intensity != "all") campaign.intensities = {options.intensity};
   if (options.protocol != "all") {
     campaign.protocols = {sim::protocol_from_name(options.protocol).value()};
   }
   if (options.attack_election) {
-    campaign.sybil_burst_chance = 0.25;
-    campaign.targeted_crash_chance = 0.2;
-    campaign.oscillate_chance = 0.25;
-    campaign.reputation = !options.stock_election;
+    base.chaos.sybil_burst_chance = 0.25;
+    base.chaos.targeted_crash_chance = 0.2;
+    base.chaos.oscillate_chance = 0.25;
+    base.reputation.enabled = !options.stock_election;
     // The attacks target the endorser election; torture G-PBFT unless the
     // user named a protocol explicitly.
     if (!options.protocol_set) campaign.protocols = {sim::ProtocolKind::Gpbft};
   }
-  if (options.reject_safe) {
-    // Clean/Inject pairs at each seed; intensities are ignored ("none" is
-    // used so node faults stay out of the tip-identity comparison).
-    campaign.tamper_chance = options.tamper_chance;
-    const sim::ChaosCampaignResult result = sim::run_tamper_campaign(campaign);
-    std::fputs(result.summary().c_str(), stdout);
-    return result.failed_runs() == 0 ? 0 : 1;
+  // Storm windows open on half the steps (--tamper) or three quarters
+  // (--reject-safe) unless --tamper-chance says otherwise.
+  if (!given(options, "--tamper-chance")) {
+    if (options.tamper) base.chaos.tamper_chance = 0.5;
+    if (options.reject_safe) base.chaos.tamper_chance = 0.75;
   }
-  if (options.tamper || options.tamper_chance > 0.0) {
-    campaign.tamper_chance = options.tamper_chance > 0.0 ? options.tamper_chance : 0.5;
-    campaign.tamper_template.mode = net::TamperRule::Mode::Replace;
-  }
-
-  const sim::ChaosCampaignResult result = sim::run_chaos_campaign(campaign);
+  // --reject-safe: clean/Inject pairs at each seed, at intensity "none" so
+  // node faults stay out of the tip-identity comparison.
+  const sim::ChaosCampaignResult result = options.reject_safe
+                                              ? sim::run_tamper_campaign(base, campaign)
+                                              : sim::run_chaos_campaign(base, campaign);
   std::fputs(result.summary().c_str(), stdout);
   return result.failed_runs() == 0 ? 0 : 1;
 }
-
 
 void print_result(const std::string& protocol, bool csv, const sim::ExperimentResult& r) {
   if (csv) {
@@ -360,7 +391,7 @@ void print_csv_header() {
       "consensus_kb,total_kb,committed,expected,era_switches\n");
 }
 
-/// `run`: one deployment straight from a scenario file.
+/// `run`/`report`/`profile`: one deployment straight from a scenario file.
 int run_scenario(const CliOptions& options) {
   std::ifstream file(options.scenario_path);
   if (!file) {
@@ -379,146 +410,33 @@ int run_scenario(const CliOptions& options) {
   if (options.protocol_set) spec.protocol = sim::protocol_from_name(options.protocol).value();
   if (options.seed_set) spec.seed = options.spec.seed;
 
-  const std::unique_ptr<sim::Deployment> deployment = sim::make_deployment(spec);
   const bool profiling = options.command == "profile";
-  if (profiling) {
+  sim::RunHooks hooks;
+  hooks.before_start = [&options, profiling](sim::Deployment& deployment) {
     // The profiler reads the host's steady clock only; it cannot perturb
     // the run. The critical-path analyzer needs the causal trace.
-    obs::Profiler::instance().set_enabled(true);
-    deployment->telemetry().set_trace_enabled(true);
-  }
-  if (!options.trace_out.empty()) deployment->telemetry().set_trace_enabled(true);
-  sim::InvariantMonitor monitor(deployment->simulator());
-  const bool durability =
-      spec.chaos.restart_chance > 0.0 || spec.chaos.disk_fault_chance > 0.0;
-  const bool attacks = spec.chaos.sybil_burst_chance > 0.0 ||
-                       spec.chaos.targeted_crash_chance > 0.0 ||
-                       spec.chaos.oscillate_chance > 0.0;
-  const bool tampering = spec.chaos.tamper_chance > 0.0;
-  const bool chaos = spec.chaos.intensity != "none" || durability || attacks || tampering;
-  sim::FaultPlan plan;
-  if (chaos) {
-    deployment->watch(monitor);
-    if (spec.protocol == sim::ProtocolKind::Gpbft) {
-      // Floods younger than the audit's lookback window cannot show up as a
-      // rate anomaly yet; only older seatings count as violations.
-      monitor.set_sybil_detection_grace(spec.geo.window + spec.geo.report_period);
-      // The reputation-weighted election claims bounded committee churn;
-      // hold it to a convergence bound on era-config application spread.
-      if (spec.reputation.enabled) {
-        monitor.set_era_convergence_bound(Duration::seconds(30));
-      }
-    }
-    // intensity "none" with durability/attack chances still runs a plan —
-    // one whose only families are the explicitly enabled ones.
-    sim::ChaosProfile profile = spec.chaos.intensity == "none"
-                                    ? sim::ChaosProfile{.crash_chance = 0.0,
-                                                        .link_fault_chance = 0.0,
-                                                        .brownout_chance = 0.0}
-                                    : sim::profile_for(spec.chaos.intensity);
-    profile.restart_chance = spec.chaos.restart_chance;
-    profile.disk_fault_chance = spec.chaos.disk_fault_chance;
-    profile.sybil_burst_chance = spec.chaos.sybil_burst_chance;
-    profile.targeted_crash_chance = spec.chaos.targeted_crash_chance;
-    profile.oscillate_chance = spec.chaos.oscillate_chance;
-    profile.tamper_chance = spec.chaos.tamper_chance;
-    profile.tamper_template.mode = spec.chaos.tamper_mode == "inject"
-                                       ? net::TamperRule::Mode::Inject
-                                       : net::TamperRule::Mode::Replace;
-    const std::vector<NodeId> victims = deployment->fault_targets();
-    profile.max_faulty = victims.empty() ? 0 : (victims.size() - 1) / 3;
-    if (spec.protocol == sim::ProtocolKind::Pow) {
-      profile.byzantine_chance = 0.0;
-      // PoW client requests carry no end-to-end authenticator; tampering
-      // them forges workload, not wire noise (see run_protocol_chaos).
-      profile.tamper_template.spare_types.push_back(pbft::msg_type::kClientRequest);
-      if (profile.tamper_template.mode == net::TamperRule::Mode::Inject) {
-        profile.tamper_template.spare_types.push_back(pow::kPowBlock);
-      }
-    }
-    plan = sim::FaultPlan::random(spec.seed, profile, victims, spec.chaos.horizon);
-    sim::FaultPlan::ChaosHandlers handlers;
-    handlers.set_byzantine = [&deployment, &monitor](NodeId id, pbft::FaultMode mode) {
-      deployment->set_fault_mode(id, mode);
-      // Sybil report floods stay honest on the consensus plane; the node is
-      // still held to agreement but marked for the no-Sybil-seated check.
-      monitor.set_faulty(id, mode != pbft::FaultMode::None &&
-                                 mode != pbft::FaultMode::SybilGeoReports);
-      monitor.note_sybil(id, mode == pbft::FaultMode::SybilGeoReports);
-    };
-    handlers.resolve_target = [&deployment]() { return deployment->latest_elected(); };
-    handlers.oscillate = [&deployment](NodeId id, bool displaced) {
-      deployment->displace_node(id, displaced);
-    };
-    handlers.restart = [&deployment](NodeId id) { (void)deployment->restart_node(id); };
-    handlers.disk_fault = [&deployment](NodeId id, sim::DiskFaultKind kind) {
-      deployment->inject_disk_fault(id, kind);
-    };
-    handlers.hook = [&monitor](const sim::ChaosEvent& event) { monitor.note_fault(event.describe()); };
-    plan.schedule(deployment->simulator(), deployment->network(), handlers);
-  }
-
-  deployment->start();
-  sim::LatencyRecorder recorder;
-  sim::Deployment::SubmitHook on_submit;
-  if (chaos) {
-    on_submit = [&monitor](const ledger::Transaction& tx) { monitor.expect_submission(tx); };
-  }
-  deployment->schedule_workload(spec.workload, &recorder, on_submit);
-
-  TimePoint deadline{spec.deadline.ns};
-  if (chaos) {
-    deployment->run_for(spec.chaos.horizon);
-    deadline = TimePoint{std::max(spec.chaos.horizon.ns, plan.all_healed_at().ns) +
-                         spec.chaos.liveness_grace.ns};
-  }
-  deployment->run_until_committed(spec.workload.txs_per_client, deadline);
-  // Give restarted nodes time to finish resyncing the agreed prefix before
-  // the convergence check.
-  if (monitor.restarts_observed() > 0) deployment->run_for(spec.engine.request_timeout * 3);
-  deployment->stop();
-
-  sim::ExperimentResult result;
-  result.nodes = spec.nodes;
-  result.committee = deployment->committee_size();
-  result.latency_samples = recorder.samples();
-  result.latency = recorder.boxplot();
-  result.committed = deployment->committed_count();
-  // Open-loop plane: expect what the arrival process actually generated,
-  // not a per-client quota (sim/experiment.cpp does the same).
-  result.expected = deployment->plane() != nullptr
-                        ? deployment->plane()->submitted()
-                        : spec.workload.txs_per_client * spec.clients;
-  result.consensus_kb = sim::consensus_kilobytes(deployment->stats());
-  result.total_kb = deployment->stats().total_kilobytes();
-  result.era_switches = deployment->era_switches();
-  result.hashes_computed = deployment->hashes_computed();
-  // Invariant verdicts land in the registry/trace, so run the end-of-run
-  // checks before the exports are snapshotted.
-  if (chaos) {
-    deployment->finish_invariants(monitor);
-    monitor.check_restart_convergence();
-    monitor.check_bounded_liveness(result.committed, result.expected, plan.all_healed_at(),
-                                   spec.chaos.liveness_grace);
-  }
-  deployment->finalize_telemetry();
+    if (profiling) obs::Profiler::instance().set_enabled(true);
+    if (profiling || !options.trace_out.empty()) deployment.telemetry().set_trace_enabled(true);
+  };
+  const sim::ScenarioRun run = sim::run_scenario(spec, spec.seed, hooks);
+  obs::Telemetry& telemetry = run.deployment->telemetry();
 
   if (options.csv) print_csv_header();
-  print_result(sim::protocol_name(spec.protocol), options.csv, result);
+  print_result(sim::protocol_name(spec.protocol), options.csv, run.result);
   if (options.command == "report") {
-    std::fputs(deployment->telemetry().metrics().summary().c_str(), stdout);
-    if (deployment->telemetry().trace_enabled()) {
-      const auto path = obs::CriticalPathReport::analyze(deployment->telemetry().trace());
+    std::fputs(telemetry.metrics().summary().c_str(), stdout);
+    if (telemetry.trace_enabled()) {
+      const auto path = obs::CriticalPathReport::analyze(telemetry.trace());
       std::printf("\n%s", path.phase_table().c_str());
     }
   }
   if (profiling) {
     obs::Profiler& prof = obs::Profiler::instance();
     prof.set_enabled(false);
-    std::printf("\ntip %s\n", deployment->tip_hex().c_str());
+    std::printf("\ntip %s\n", run.tip_hex.c_str());
     std::printf("\n--- wall-clock hotspots (exclusive time) ---\n%s",
                 prof.hotspot_table(options.top).c_str());
-    const auto path = obs::CriticalPathReport::analyze(deployment->telemetry().trace());
+    const auto path = obs::CriticalPathReport::analyze(telemetry.trace());
     std::printf("\n--- commit critical path ---\n%s", path.phase_table().c_str());
     std::printf("\n--- slowest requests ---\n%s", path.slowest_table(options.top).c_str());
     if (!options.profile_out.empty() && !prof.write_json(options.profile_out)) {
@@ -531,19 +449,18 @@ int run_scenario(const CliOptions& options) {
       return 2;
     }
   }
-  if (!options.trace_out.empty() && !deployment->telemetry().write_trace(options.trace_out)) {
+  if (!options.trace_out.empty() && !telemetry.write_trace(options.trace_out)) {
     std::fprintf(stderr, "cannot write trace to %s\n", options.trace_out.c_str());
     return 2;
   }
-  if (!options.metrics_out.empty() &&
-      !deployment->telemetry().write_metrics_jsonl(options.metrics_out)) {
+  if (!options.metrics_out.empty() && !telemetry.write_metrics_jsonl(options.metrics_out)) {
     std::fprintf(stderr, "cannot write metrics to %s\n", options.metrics_out.c_str());
     return 2;
   }
 
-  if (chaos) {
-    std::fputs(monitor.report().c_str(), stdout);
-    return monitor.clean() ? 0 : 1;
+  if (run.monitor != nullptr) {
+    std::fputs(run.monitor->report().c_str(), stdout);
+    return run.monitor->clean() ? 0 : 1;
   }
   return 0;
 }
